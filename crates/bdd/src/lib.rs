@@ -43,18 +43,20 @@
 //!   children and complementing the returned handle.  By default nodes are never
 //!   freed during a run; callers that opt in can register external roots
 //!   ([`BddManager::protect`] / scoped [`BddManager::push_root_frame`]
-//!   sets) and run mark-and-sweep [`BddManager::gc`], which rebuilds the
-//!   unique table, invalidates the operation caches and recycles slots
-//!   deterministically.  [`BddManager::reset`] still recycles the whole
-//!   manager — capacity kept, contents cleared — for arena reuse across
-//!   batch jobs.
+//!   sets) and run mark-and-sweep [`BddManager::gc`], which drops dead
+//!   unique-table entries in place, purges cache entries naming dead nodes
+//!   and recycles slots deterministically.  [`BddManager::reset`] still
+//!   recycles the whole manager — capacity kept, contents cleared — for
+//!   arena reuse across batch jobs.
 //! * The hot tables (unique table, ITE computed table, quantification and
 //!   scratch caches) use the hand-rolled [`hash::FxHasher`]; ITE triples are
 //!   normalised into a standard form before the cache probe (including the
 //!   complement-edge standard-triple rules: condition-polarity flip and
 //!   `ite(f,g,h) = ¬ite(f,¬g,¬h)` canonical output polarity, so
-//!   complementary triples share one cache line), and the
-//!   quantification cache is direct-mapped and bounded.  [`BddStats`]
+//!   complementary triples share one cache line).  The ITE computed
+//!   table is a direct-mapped, lossy slot array that doubles with the
+//!   arena up to a fixed cap (2²² slots, 64 MiB), and the quantification
+//!   cache is direct-mapped with a fixed size.  [`BddStats`]
 //!   surfaces hit/miss/normalisation counters for all of them, plus the
 //!   live/peak node counts and GC/reorder counters.
 //! * Variable order: declaration order by default, with the static presets

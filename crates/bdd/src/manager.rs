@@ -241,6 +241,78 @@ impl QuantSlot {
     };
 }
 
+/// One slot of the direct-mapped ITE computed table: a normalised triple
+/// and its result, 16 bytes.  `f == TRUE` marks an empty slot — ITE
+/// normalisation never leaves a terminal condition in a probed key, so no
+/// probe can match it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct IteSlot {
+    f: Bdd,
+    g: Bdd,
+    h: Bdd,
+    r: Bdd,
+}
+
+impl IteSlot {
+    const EMPTY: IteSlot = IteSlot {
+        f: Bdd::TRUE,
+        g: Bdd::TRUE,
+        h: Bdd::TRUE,
+        r: Bdd::TRUE,
+    };
+
+    #[inline]
+    fn is_empty(&self) -> bool {
+        self.f.is_true()
+    }
+}
+
+/// Slot count of the ITE computed table on a fresh (or reset) manager
+/// (64 KiB).  Much smaller, and the few hundred triples of a small job
+/// start evicting each other.
+const ITE_CACHE_MIN_SLOTS: usize = 1 << 12;
+
+/// Slot cap of the ITE computed table: 2²² slots × 16 bytes = 64 MiB.
+const ITE_CACHE_MAX_SLOTS: usize = 1 << 22;
+
+/// The ITE table's slot count for an arena of `arena_len` slots: at least
+/// one slot per arena slot, as a power of two, clamped to
+/// [`ITE_CACHE_MIN_SLOTS`]..=[`ITE_CACHE_MAX_SLOTS`].
+fn ite_cache_slots_for(arena_len: usize) -> usize {
+    arena_len
+        .checked_next_power_of_two()
+        .unwrap_or(ITE_CACHE_MAX_SLOTS)
+        .clamp(ITE_CACHE_MIN_SLOTS, ITE_CACHE_MAX_SLOTS)
+}
+
+/// The ITE table's hash of a normalised triple; the slot index is its high
+/// bits, so doubling the table appends one bit to every index.
+#[inline]
+fn ite_hash(f: Bdd, g: Bdd, h: Bdd) -> u64 {
+    mix2((u64::from(f.0) << 32) | u64::from(g.0), u64::from(h.0))
+}
+
+/// Slot of `hash` in an ITE table of `slots` (a power of two) slots.
+#[inline]
+fn ite_index(hash: u64, slots: usize) -> usize {
+    (hash >> (64 - slots.trailing_zeros())) as usize
+}
+
+/// Empties every ITE table slot that names a node `live` rejects — the
+/// linear-scan purge run by GC and by sifting before reclaimed slots are
+/// reused.
+pub(crate) fn purge_ite_cache(cache: &mut [IteSlot], live: impl Fn(usize) -> bool) {
+    for slot in cache {
+        if !slot.is_empty()
+            && [slot.f, slot.g, slot.h, slot.r]
+                .iter()
+                .any(|edge| !live(edge.index()))
+        {
+            *slot = IteSlot::EMPTY;
+        }
+    }
+}
+
 /// Number of slots in the direct-mapped quantification cache.  Collisions
 /// are lossy (last writer wins), which bounds the cache at ~256 KiB per
 /// manager no matter how many generations of `exists`/`forall` run.
@@ -254,7 +326,13 @@ pub struct BddManager {
     pub(crate) unique: FxHashMap<Node, Bdd>,
     /// Arena slots reclaimed by GC/reordering, reused LIFO by `mk_node`.
     pub(crate) free: Vec<u32>,
-    pub(crate) ite_cache: FxHashMap<(Bdd, Bdd, Bdd), Bdd>,
+    /// Direct-mapped, lossy ITE computed table ([`IteSlot`]); its length is
+    /// a power of two between [`ITE_CACHE_MIN_SLOTS`] and
+    /// [`ITE_CACHE_MAX_SLOTS`] that follows the arena length.
+    pub(crate) ite_cache: Vec<IteSlot>,
+    /// GC mark bitmap, kept between passes so a collection reuses its
+    /// allocation.
+    mark: Vec<bool>,
     /// Direct-mapped, tag-checked quantification cache (bounded; see
     /// [`QUANT_CACHE_SLOTS`]).  Allocated lazily on the first `exists` /
     /// `forall` call so tiny managers stay cheap.
@@ -367,7 +445,8 @@ impl BddManager {
             nodes,
             unique: FxHashMap::with_capacity_and_hasher(capacity, Default::default()),
             free: Vec::new(),
-            ite_cache: FxHashMap::with_capacity_and_hasher(capacity, Default::default()),
+            ite_cache: vec![IteSlot::EMPTY; ITE_CACHE_MIN_SLOTS],
+            mark: Vec::new(),
             quant_cache: Vec::new(),
             quant_sets: FxHashMap::default(),
             quant_epoch: 1,
@@ -420,7 +499,11 @@ impl BddManager {
         self.nodes.truncate(1);
         self.unique.clear();
         self.free.clear();
-        self.ite_cache.clear();
+        // Back to the fresh slot count: the lossy table's hits depend on its
+        // size, so a recycled manager must regrow it exactly like a new one.
+        self.ite_cache.truncate(ITE_CACHE_MIN_SLOTS);
+        self.ite_cache.fill(IteSlot::EMPTY);
+        self.mark.clear();
         self.quant_cache.clear(); // keeps capacity; re-filled lazily
         self.quant_sets.clear();
         self.quant_epoch = 1;
@@ -664,6 +747,11 @@ impl BddManager {
             None => {
                 let id = Bdd::from_parts(self.nodes.len(), false);
                 self.nodes.push(node);
+                if self.nodes.len() > self.ite_cache.len()
+                    && self.ite_cache.len() < ITE_CACHE_MAX_SLOTS
+                {
+                    self.grow_ite_cache();
+                }
                 id
             }
         };
@@ -710,6 +798,15 @@ impl BddManager {
         self.nodes.capacity()
     }
 
+    /// Slot count of the ITE computed table: a power of two that follows
+    /// the arena length, from a small minimum up to a fixed cap (2²² slots,
+    /// 64 MiB).  [`reset`] shrinks it back to the minimum.
+    ///
+    /// [`reset`]: BddManager::reset
+    pub fn ite_cache_slots(&self) -> usize {
+        self.ite_cache.len()
+    }
+
     /// Number of nodes reachable from `f` (the "size" of the BDD), counting
     /// the terminal.  Both polarities of an edge reach the same node, so
     /// `size(f) == size(¬f)`.
@@ -726,10 +823,34 @@ impl BddManager {
         seen.len()
     }
 
+    /// Grows the ITE computed table to [`ite_cache_slots_for`] the current
+    /// arena length.
+    #[cold]
+    fn grow_ite_cache(&mut self) {
+        while self.ite_cache.len() < ite_cache_slots_for(self.nodes.len()) {
+            self.double_ite_cache();
+        }
+    }
+
+    /// Doubles the ITE computed table, rehashing in place: doubling appends
+    /// one hash bit to every index, so slot `i`'s entry moves to `2i` or
+    /// `2i + 1`, and walking downwards finds both destinations vacated.
+    fn double_ite_cache(&mut self) {
+        let old = self.ite_cache.len();
+        self.ite_cache.resize(old * 2, IteSlot::EMPTY);
+        for i in (0..old).rev() {
+            let slot = std::mem::replace(&mut self.ite_cache[i], IteSlot::EMPTY);
+            if !slot.is_empty() {
+                let j = ite_index(ite_hash(slot.f, slot.g, slot.h), old * 2);
+                self.ite_cache[j] = slot;
+            }
+        }
+    }
+
     /// Drops the operation caches (unique table is kept — it is required for
     /// canonicity).  Useful between benchmark iterations.
     pub fn clear_caches(&mut self) {
-        self.ite_cache.clear();
+        self.ite_cache.fill(IteSlot::EMPTY);
         self.quant_cache.clear();
         self.and_exists_cache.clear();
         self.scratch.clear();
@@ -795,8 +916,8 @@ impl BddManager {
     }
 
     /// Mark-and-sweep garbage collection: every node unreachable from the
-    /// registered roots (persistent and scoped) is reclaimed, the unique
-    /// table is rebuilt from the survivors, and the operation caches are
+    /// registered roots (persistent and scoped) is reclaimed, its unique
+    /// table entry dropped, and every operation-cache entry naming it
     /// invalidated (reclaimed slots are reused, so stale cache entries
     /// would otherwise alias new nodes).  Returns the number of nodes
     /// reclaimed.
@@ -809,13 +930,15 @@ impl BddManager {
     /// sequence still reproduces identical handles and statistics.
     pub fn gc(&mut self) -> usize {
         self.note_peak();
-        let mut marked = vec![false; self.nodes.len()];
-        marked[0] = true; // the single terminal node
         let mut stack: Vec<Bdd> = Vec::with_capacity(self.root_count());
         stack.extend(self.roots.keys().copied());
         for frame in &self.root_frames {
             stack.extend(frame.iter().copied());
         }
+        let marked = &mut self.mark;
+        marked.clear();
+        marked.resize(self.nodes.len(), false);
+        marked[0] = true; // the single terminal node
         while let Some(f) = stack.pop() {
             let index = f.index();
             if marked[index] {
@@ -831,33 +954,28 @@ impl BddManager {
             }
         }
 
-        self.unique.clear();
+        let marked = &self.mark;
+        self.unique.retain(|_, id| marked[id.index()]);
+        // Ascending pushes, so `mk_node`'s pops reuse the highest free index
+        // first.
         self.free.clear();
-        for (index, &live) in marked.iter().enumerate().skip(1) {
-            if live {
-                self.unique
-                    .insert(self.nodes[index], Bdd::from_parts(index, false));
-            } else {
-                self.free.push(index as u32);
-            }
-        }
+        self.free.extend(
+            (1..marked.len())
+                .filter(|&index| !marked[index])
+                .map(|index| index as u32),
+        );
         let live_before = self.live;
         self.live = self.nodes.len() - self.free.len();
         let reclaimed = live_before - self.live;
         // Reclaimed slots will be reused: any cache entry naming them would
         // silently alias a future node.  The quantification cache is
-        // invalidated wholesale by bumping the tag epoch (its slots are
-        // direct-mapped, so filtering them individually buys nothing) and
-        // the scratch memo is cleared per call anyway; the ITE and fused
-        // `and_exists` computed tables keep exactly the entries whose
-        // operands and result all survived — throwing the warm caches away
-        // wholesale makes the steps after a collection recompute (and
-        // re-allocate) everything they were suppressing, which costs more
-        // peak memory than the collection just saved.
+        // invalidated wholesale by bumping the tag epoch, and the scratch
+        // memo is cleared per call anyway.  The ITE and fused `and_exists`
+        // computed tables keep every entry whose operands and result all
+        // survived: the steps after a collection then replay warm results
+        // instead of recomputing (and re-allocating) them.
         self.quant_epoch += 1;
-        self.ite_cache.retain(|&(f, g, h), r| {
-            marked[f.index()] && marked[g.index()] && marked[h.index()] && marked[r.index()]
-        });
+        purge_ite_cache(&mut self.ite_cache, |index| marked[index]);
         self.and_exists_cache
             .retain(|&(f, g, _), r| marked[f.index()] && marked[g.index()] && marked[r.index()]);
         self.scratch.clear();
@@ -901,9 +1019,18 @@ impl BddManager {
 
     /// Runs the installed maintenance policy, if any: a GC pass once enough
     /// nodes have accumulated, followed by a sifting pass when the *live*
-    /// set itself has outgrown its threshold.  Both back off (the next
-    /// trigger is twice the post-pass live count) so maintenance cost stays
-    /// amortised.
+    /// set itself has outgrown its threshold.
+    ///
+    /// The next GC trigger depends on the policy.  A GC-only policy
+    /// (`sift: false`) collects again once the garbage since this pass is
+    /// at least the post-pass live set, i.e. at twice the post-pass live
+    /// count: each O(live + arena) pass is then paid for by as many newly
+    /// allocated nodes, and the number of passes grows only logarithmically
+    /// with the working set.  A sifting policy collects again after an
+    /// eighth of the post-pass live count, because every sift needs a
+    /// freshly collected arena and a close watch on the working set.  Both
+    /// triggers are at least `gc_threshold` nodes above the live count.
+    /// The sift trigger backs off separately (see below).
     ///
     /// Callers must only invoke this at a safe point: every handle that
     /// will be used again must be reachable from the root registry.
@@ -930,14 +1057,12 @@ impl BddManager {
             };
             self.next_sift_at = self.live * factor;
         }
-        // Collect again once an eighth of the (post-GC) live set's worth of
-        // new nodes has accumulated: a mark-and-sweep is O(live + arena),
-        // so this amortises to a constant factor while keeping the peak
-        // within ~1.125× of the true working set — the whole point of the
-        // peak-memory work.  (The ITE computed table survives collection
-        // filtered to live entries, so frequent passes cost sweep time,
-        // not recomputation.)
-        self.next_gc_at = self.live + (self.live / 8).max(settings.gc_threshold);
+        let garbage_allowance = if settings.sift {
+            self.live / 8
+        } else {
+            self.live
+        };
+        self.next_gc_at = self.live + garbage_allowance.max(settings.gc_threshold);
     }
 
     /// Wall-clock nanoseconds spent inside sifting passes since the last
@@ -960,7 +1085,7 @@ impl BddManager {
             reorder_passes: self.reorder_passes,
             level_swaps: self.level_swaps,
             variables: self.var_names.len(),
-            ite_cache_entries: self.ite_cache.len(),
+            ite_cache_entries: self.ite_cache.iter().filter(|s| !s.is_empty()).count(),
             ite_cache_hits: self.ite_hits,
             ite_cache_misses: self.ite_misses,
             ite_normalised: self.ite_normalised,
@@ -1109,10 +1234,11 @@ impl BddManager {
             break;
         }
 
-        let key = (f, g, h);
-        if let Some(&r) = self.ite_cache.get(&key) {
+        let hash = ite_hash(f, g, h);
+        let slot = self.ite_cache[ite_index(hash, self.ite_cache.len())];
+        if slot.f == f && slot.g == g && slot.h == h {
             self.ite_hits += 1;
-            return if flip { r.negate() } else { r };
+            return if flip { slot.r.negate() } else { slot.r };
         }
         self.ite_misses += 1;
         // Budget bookkeeping rides the miss path: hits are free, misses
@@ -1143,7 +1269,9 @@ impl BddManager {
         let lo = self.ite(f0, g0, h0);
         let hi = self.ite(f1, g1, h1);
         let result = self.mk_node(top_var, lo, hi);
-        self.ite_cache.insert(key, result);
+        // The recursion may have grown the table: index it afresh.
+        let index = ite_index(hash, self.ite_cache.len());
+        self.ite_cache[index] = IteSlot { f, g, h, r: result };
         if flip {
             result.negate()
         } else {
@@ -2669,5 +2797,66 @@ mod tests {
         // handles and statistics.
         assert_eq!(governed, free);
         assert_eq!(m.stats(), reference.stats());
+    }
+
+    /// The ITE table follows the arena in powers of two and never exceeds
+    /// its cap, however large the arena gets.
+    #[test]
+    fn ite_cache_slots_never_exceed_the_cap() {
+        for arena in (0..usize::BITS).flat_map(|bit| {
+            let p = 1usize << bit;
+            [p - 1, p, p + 1]
+        }) {
+            let slots = ite_cache_slots_for(arena);
+            assert!(slots.is_power_of_two());
+            assert!((ITE_CACHE_MIN_SLOTS..=ITE_CACHE_MAX_SLOTS).contains(&slots));
+            if arena <= ITE_CACHE_MAX_SLOTS {
+                assert!(slots >= arena, "{slots} slots for an arena of {arena}");
+            }
+        }
+        assert_eq!(ite_cache_slots_for(usize::MAX), ITE_CACHE_MAX_SLOTS);
+        let mut m = BddManager::new();
+        assert_eq!(m.ite_cache_slots(), ITE_CACHE_MIN_SLOTS);
+        // Parity built bottom-up: each xor adds one node above the last.
+        let mut acc = Bdd::FALSE;
+        for v in m.new_vars("p", 8192).into_iter().rev() {
+            acc = m.xor(v, acc);
+        }
+        assert!(m.arena_len() > ITE_CACHE_MIN_SLOTS);
+        assert_eq!(m.ite_cache_slots(), ite_cache_slots_for(m.arena_len()));
+        m.reset();
+        assert_eq!(m.ite_cache_slots(), ITE_CACHE_MIN_SLOTS);
+    }
+
+    /// Doubling the ITE table rehashes in place without losing an entry,
+    /// and each entry lands on its slot under the new size.
+    #[test]
+    fn doubling_the_ite_cache_keeps_every_entry() {
+        let mut m = BddManager::new();
+        let vars: Vec<Bdd> = (0..8).map(|i| m.new_var(format!("d{i}"))).collect();
+        let mut rng = XorShift64::new(0xD0B1E);
+        let _ = random_formula(&mut m, &vars, &mut rng, 200);
+        let entries = |m: &BddManager| {
+            let mut all: Vec<(Bdd, Bdd, Bdd, Bdd)> = m
+                .ite_cache
+                .iter()
+                .filter(|s| !s.is_empty())
+                .map(|s| (s.f, s.g, s.h, s.r))
+                .collect();
+            all.sort();
+            all
+        };
+        let before = entries(&m);
+        assert!(before.len() > 100);
+        m.double_ite_cache();
+        m.double_ite_cache();
+        assert_eq!(m.ite_cache_slots(), 4 * ITE_CACHE_MIN_SLOTS);
+        assert_eq!(entries(&m), before);
+        for (index, slot) in m.ite_cache.iter().enumerate() {
+            if !slot.is_empty() {
+                let hash = ite_hash(slot.f, slot.g, slot.h);
+                assert_eq!(ite_index(hash, m.ite_cache_slots()), index);
+            }
+        }
     }
 }

@@ -23,7 +23,7 @@
 
 use std::time::Instant;
 
-use crate::manager::BddManager;
+use crate::manager::{purge_ite_cache, BddManager};
 use crate::node::{Bdd, Node};
 
 /// The automatic GC/reordering policy installed via
@@ -189,12 +189,7 @@ impl BddManager {
         // purge.)  Entries over surviving handles stay valid: an in-place
         // swap preserves every live handle's function.
         if let Some(ctx) = held {
-            self.ite_cache.retain(|&(f, g, h), r| {
-                !ctx.freed_ever[f.index()]
-                    && !ctx.freed_ever[g.index()]
-                    && !ctx.freed_ever[h.index()]
-                    && !ctx.freed_ever[r.index()]
-            });
+            purge_ite_cache(&mut self.ite_cache, |index| !ctx.freed_ever[index]);
             self.and_exists_cache.retain(|&(f, g, _), r| {
                 !ctx.freed_ever[f.index()]
                     && !ctx.freed_ever[g.index()]
@@ -658,5 +653,84 @@ mod tests {
         assert_eq!(stats.gc_passes, 1, "one sweep serves both GC and sift");
         assert_eq!(stats.reorder_passes, 1);
         assert!(m.sift_nanos() > 0);
+    }
+
+    /// A working set that grows by one rooted function (the disjunction of
+    /// two random 8-literal cubes over 64 variables) per round, while each
+    /// round's partial products become garbage.  A safe point follows every
+    /// round.  Returns the GC pass count and the final true live count.
+    fn growing_workload(settings: MaintainSettings, rounds: usize) -> (u64, usize) {
+        let mut m = BddManager::new();
+        for i in 0..64 {
+            m.new_var(format!("w{i}"));
+        }
+        m.set_maintenance(Some(settings));
+        let mut rng = ssr_prop::Rng::new(0x6C_5EED);
+        for _ in 0..rounds {
+            let mut f = Bdd::FALSE;
+            for _ in 0..2 {
+                let mut cube = Bdd::TRUE;
+                for _ in 0..8 {
+                    let v = rng.below(64) as u32;
+                    let lit = if rng.flag() {
+                        m.literal(v)
+                    } else {
+                        m.nliteral(v)
+                    };
+                    cube = m.and(cube, lit);
+                }
+                f = m.or(f, cube);
+            }
+            m.protect(f);
+            m.maintain();
+        }
+        let passes = m.stats().gc_passes;
+        m.gc();
+        (passes, m.node_count())
+    }
+
+    /// A GC-only policy collects once the garbage since the last pass is
+    /// at least the live set, so a growing working set costs O(log n)
+    /// passes: quadrupling the work adds a few passes instead of
+    /// multiplying them.
+    #[test]
+    fn gc_only_policy_collects_logarithmically_often() {
+        let settings = MaintainSettings {
+            gc_threshold: 256,
+            sift: false,
+            ..MaintainSettings::default()
+        };
+        let (small_passes, small_live) = growing_workload(settings, 1000);
+        let (passes, live) = growing_workload(settings, 4000);
+        assert!(
+            live > 3 * small_live,
+            "the working set grew: {small_live} -> {live}"
+        );
+        let doublings = (live / settings.gc_threshold).ilog2() as u64;
+        assert!(
+            passes <= 3 * doublings,
+            "{passes} passes for a working set of {live} nodes"
+        );
+        // The eighth cadence takes 60 and 87 passes on these two runs.
+        assert!(
+            passes - small_passes <= 6,
+            "quadrupling the work took {small_passes} -> {passes} passes"
+        );
+    }
+
+    /// A sifting policy keeps collecting after an eighth of the live set,
+    /// since every sift needs a freshly collected arena.  The sift
+    /// threshold is out of reach here, so only the GC cadence is measured.
+    #[test]
+    fn sifting_policy_keeps_the_eighth_cadence() {
+        let settings = MaintainSettings {
+            gc_threshold: 256,
+            sift: true,
+            sift_threshold: usize::MAX,
+            ..MaintainSettings::default()
+        };
+        let (passes, _) = growing_workload(settings, 4000);
+        // The pass count of the `live + live/8` trigger on this workload.
+        assert_eq!(passes, 87);
     }
 }

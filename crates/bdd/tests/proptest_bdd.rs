@@ -474,3 +474,77 @@ fn store_round_trip_preserves_random_polarity() {
         }
     });
 }
+
+/// The ITE computed table is direct-mapped and lossy: a colliding insert
+/// overwrites its slot.  Batches of random expressions are built on arenas
+/// small enough that the table stays at its minimum size, so collisions
+/// are forced.  Half of each batch is rooted; then a GC (which must purge
+/// the slots naming the dead half) and an adjacent-level swap or a sift
+/// run, fresh expressions take over the recycled arena slots, and the
+/// whole batch is rebuilt.  Every result must match the reference
+/// semantics, and every rebuilt rooted expression must return its
+/// original handle.
+#[test]
+fn lossy_computed_table_preserves_semantics() {
+    let min_slots = BddManager::new().ite_cache_slots();
+    let (mut batches, mut collided) = (0, 0);
+    check("lossy computed table", 32, 0xB0D_000F, |rng| {
+        let mut m = manager_with_vars();
+        // Rooted literals keep their handles across GC, so the rebuilt
+        // batches probe the very triples the first builds cached.
+        for v in 0..NUM_VARS {
+            let literal = m.literal(v);
+            m.protect(literal);
+        }
+        let mut kept: Vec<(Bdd, Expr)> = Vec::new();
+        for _ in 0..3 {
+            let batch: Vec<Expr> = (0..32).map(|_| arb_expr(rng, 5)).collect();
+            let before = m.stats();
+            let built: Vec<Bdd> = batch.iter().map(|e| build_bdd(&mut m, e)).collect();
+            let after = m.stats();
+            // Every miss inserts one entry, so an occupancy that grew by
+            // less than the misses means an insert overwrote a slot.
+            let inserted = after.ite_cache_misses - before.ite_cache_misses;
+            batches += 1;
+            if (after.ite_cache_entries as u64) < before.ite_cache_entries as u64 + inserted {
+                collided += 1;
+            }
+            for (f, e) in built.iter().zip(&batch).step_by(2) {
+                m.protect(*f);
+                kept.push((*f, e.clone()));
+            }
+            m.gc();
+            if rng.flag() {
+                m.swap_adjacent_levels(rng.below(NUM_VARS as u64 - 1) as u32);
+            } else {
+                m.sift(1.5);
+            }
+            // Fresh expressions first take over the recycled slots, so a
+            // stale entry left behind would now name a different node.
+            for _ in 0..16 {
+                let e = arb_expr(rng, 5);
+                let f = build_bdd(&mut m, &e);
+                assert_matches_reference(&m, f, &e);
+            }
+            for (i, e) in batch.iter().enumerate() {
+                let f = build_bdd(&mut m, e);
+                assert_matches_reference(&m, f, e);
+                if i % 2 == 0 {
+                    assert_eq!(f, built[i], "a rooted function keeps its handle");
+                }
+            }
+            for (f, e) in &kept {
+                assert_matches_reference(&m, *f, e);
+            }
+        }
+        assert_eq!(
+            m.ite_cache_slots(),
+            min_slots,
+            "the arena stayed small, so the table kept its minimum size"
+        );
+    });
+    assert!(
+        2 * collided > batches,
+        "only {collided} of {batches} batches overwrote a computed-table slot"
+    );
+}

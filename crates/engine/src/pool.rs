@@ -183,6 +183,7 @@ impl ManagerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ssr_bdd::{Bdd, BddStats, MaintainSettings};
 
     #[test]
     fn acquire_release_recycles_capacity() {
@@ -274,19 +275,60 @@ mod tests {
     fn reset_manager_reproduces_fresh_results() {
         let pool = ManagerPool::new(4);
         let mut dirty = pool.acquire();
-        let x = dirty.new_var("x");
-        let y = dirty.new_var("y");
-        let _ = dirty.and(x, y);
+        // Grow the dirty manager's ITE computed table past its minimum.
+        // The table is lossy, so its size decides which entries survive:
+        // a recycled manager must shrink it back to reproduce a fresh one.
+        let mut acc = Bdd::FALSE;
+        for v in dirty.new_vars("d", 4096).into_iter().rev() {
+            acc = dirty.xor(v, acc);
+        }
+        assert!(dirty.ite_cache_slots() > BddManager::new().ite_cache_slots());
         pool.release(dirty);
 
+        // A GC-only workload whose arena also outgrows the minimum table:
+        // one rooted disjunction of two 6-literal cubes per round.
         let build = |m: &mut BddManager| {
-            let p = m.new_var("p");
-            let q = m.new_var("q");
-            let f = m.xor(p, q);
-            (f, m.node_count(), m.stats().ite_cache_misses)
+            m.set_maintenance(Some(MaintainSettings {
+                gc_threshold: 512,
+                sift: false,
+                ..MaintainSettings::default()
+            }));
+            m.new_vars("p", 48);
+            let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+            let mut f = Bdd::FALSE;
+            for _ in 0..1500 {
+                let mut cubes = [Bdd::TRUE; 2];
+                for cube in &mut cubes {
+                    for _ in 0..6 {
+                        seed ^= seed << 13;
+                        seed ^= seed >> 7;
+                        seed ^= seed << 17;
+                        let var = (seed % 48) as u32;
+                        let lit = if seed & 64 == 0 {
+                            m.literal(var)
+                        } else {
+                            m.nliteral(var)
+                        };
+                        *cube = m.and(*cube, lit);
+                    }
+                }
+                f = m.or(cubes[0], cubes[1]);
+                m.protect(f);
+                m.maintain();
+            }
+            let stats = BddStats {
+                resets: 0,
+                ..m.stats()
+            };
+            (f, m.node_count(), m.ite_cache_slots(), stats)
         };
         let mut recycled = pool.acquire();
+        assert_eq!(recycled.stats().resets, 1, "the dirty manager came back");
         let mut fresh = BddManager::new();
-        assert_eq!(build(&mut recycled), build(&mut fresh));
+        let (f, nodes, slots, stats) = build(&mut fresh);
+        assert!(slots > BddManager::new().ite_cache_slots());
+        assert!(stats.gc_passes > 1);
+        // Full stats equality: `ite_cache_misses` and `gc_passes` included.
+        assert_eq!(build(&mut recycled), (f, nodes, slots, stats));
     }
 }
