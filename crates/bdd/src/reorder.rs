@@ -190,11 +190,6 @@ impl BddManager {
         // swap preserves every live handle's function.
         if let Some(ctx) = held {
             purge_ite_cache(&mut self.ite_cache, |index| !ctx.freed_ever[index]);
-            self.and_exists_cache.retain(|&(f, g, _), r| {
-                !ctx.freed_ever[f.index()]
-                    && !ctx.freed_ever[g.index()]
-                    && !ctx.freed_ever[r.index()]
-            });
         }
         self.reorder_passes += 1;
         self.sift_nanos += started.elapsed().as_nanos() as u64;

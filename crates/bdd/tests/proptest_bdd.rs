@@ -195,40 +195,6 @@ fn quantification_laws() {
     });
 }
 
-/// The fused relational product is extensionally the unfused pipeline:
-/// `and_exists(f, g, V) == exists(and(f, g), V)` for random functions and
-/// random variable sets — and the early-quantification schedule over a
-/// random partition list agrees with the monolithic conjunction.
-#[test]
-fn fused_relational_product_matches_unfused() {
-    check("and_exists == exists∘and", 64, 0xB0D_0009, |rng| {
-        let ef = arb_expr(rng, 4);
-        let eg = arb_expr(rng, 4);
-        let mut vars: Vec<u32> = (0..NUM_VARS).filter(|_| rng.flag()).collect();
-        let mut m = manager_with_vars();
-        let f = build_bdd(&mut m, &ef);
-        let g = build_bdd(&mut m, &eg);
-        let fused = m.and_exists(f, g, &vars);
-        let product = m.and(f, g);
-        let unfused = m.exists(product, &vars);
-        assert_eq!(fused, unfused, "vars {vars:?}");
-        // A shuffled spelling of the same set is the same interned
-        // identity (same canonical result, no re-tagging hazards).
-        vars.reverse();
-        assert_eq!(m.and_exists(f, g, &vars), fused);
-        // Partition-list schedule over a random split of the conjuncts.
-        let parts: Vec<Bdd> = (0..rng.below(4) + 1)
-            .map(|_| build_bdd(&mut m, &arb_expr(rng, 3)))
-            .collect();
-        let scheduled = m.exists_conjunction(&parts, &vars);
-        let monolithic = {
-            let all = m.and_all(parts.iter().copied());
-            m.exists(all, &vars)
-        };
-        assert_eq!(scheduled, monolithic);
-    });
-}
-
 /// `one_sat` always returns a genuinely satisfying assignment, and
 /// `sat_count` is consistent with exhaustive enumeration.
 #[test]

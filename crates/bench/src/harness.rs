@@ -45,10 +45,6 @@ pub struct BenchOptions {
     pub order: OrderPolicy,
     /// Kernel GC/sifting policy for the campaign (and serve) workloads.
     pub reorder: Option<MaintainSettings>,
-    /// STE partitioning strategy for the campaign (and serve) workloads.
-    /// The `campaign/ifr-paper-*` ablation pair ignores this and pins its
-    /// own strategy per workload.
-    pub partitioning: Partitioning,
     /// Serve closed loop: concurrent clients.
     pub serve_clients: usize,
     /// Serve closed loop: campaigns each client submits back-to-back.
@@ -60,7 +56,6 @@ impl Default for BenchOptions {
         BenchOptions {
             order: OrderPolicy::default(),
             reorder: None,
-            partitioning: Partitioning::default(),
             serve_clients: 4,
             serve_requests: 2,
         }
@@ -371,7 +366,7 @@ fn campaign_spec(granularity: Granularity, options: &BenchOptions) -> CampaignSp
         suites: Suite::ALL.to_vec(),
         granularity,
         order: options.order.clone(),
-        partitioning: options.partitioning,
+        partitioning: Partitioning::default(),
         reorder: options.reorder,
         threads: 1,
         budget: JobBudget::default(),
@@ -389,7 +384,7 @@ fn acceptance_spec(options: &BenchOptions) -> CampaignSpec {
         suites: Suite::ALL.to_vec(),
         granularity: Granularity::Assertion,
         order: options.order.clone(),
-        partitioning: options.partitioning,
+        partitioning: Partitioning::default(),
         reorder: options.reorder,
         threads: 1,
         budget: JobBudget::default(),
@@ -397,19 +392,16 @@ fn acceptance_spec(options: &BenchOptions) -> CampaignSpec {
     }
 }
 
-/// The partition-ablation workloads: the paper-sized core's IFR suite —
-/// the biggest-memory job in the workload registry — pinned to one
-/// partitioning strategy per workload, so a committed report carries the
-/// peak-live-node and wall-clock deltas between the monolithic and
-/// conjunctive (early-quantification) checkers.
-fn ifr_paper_spec(partitioning: Partitioning, options: &BenchOptions) -> CampaignSpec {
+/// The paper-sized core's IFR suite, the biggest-memory job in the
+/// workload registry, behind the cold/warm store pair.
+fn ifr_paper_spec(options: &BenchOptions) -> CampaignSpec {
     CampaignSpec {
         configs: vec![NamedConfig::paper()],
         policies: vec![ssr_engine::policy_by_name("architectural").expect("named policy")],
         suites: vec![Suite::Ifr],
         granularity: Granularity::Suite,
         order: options.order.clone(),
-        partitioning,
+        partitioning: Partitioning::default(),
         reorder: options.reorder,
         threads: 1,
         budget: JobBudget::default(),
@@ -600,56 +592,6 @@ pub fn workloads(options: &BenchOptions) -> Vec<Workload> {
         },
     });
 
-    out.push(Workload {
-        name: "kernel/relational-product",
-        kind: WorkloadKind::Kernel,
-        run: {
-            let mut m = BddManager::new();
-            Box::new(move || {
-                m.reset();
-                // A 16-bit partitioned transition relation: current vars at
-                // even indices, next vars at odd, one conjunct per next-state
-                // bit, image computed as one fused relational product.
-                let n = 16usize;
-                let mut xs = Vec::with_capacity(n);
-                let mut ys = Vec::with_capacity(n);
-                for i in 0..n {
-                    xs.push(m.new_var(format!("x{i}")));
-                    ys.push(m.new_var(format!("y{i}")));
-                }
-                let parts: Vec<Bdd> = (0..n)
-                    .map(|i| {
-                        let next = m.xor(xs[i], xs[(i + 1) % n]);
-                        let forced = m.and(next, xs[(i + 3) % n]);
-                        m.xnor(ys[i], forced)
-                    })
-                    .collect();
-                let state = {
-                    let lo = m.not(xs[0]);
-                    m.and(lo, xs[n / 2])
-                };
-                let xvars: Vec<u32> = (0..n as u32).map(|i| 2 * i).collect();
-                let mut all = Vec::with_capacity(n + 1);
-                all.push(state);
-                all.extend(parts.iter().copied());
-                let image = m.exists_conjunction(&all, &xvars);
-                // The fused schedule must agree with the textbook
-                // conjoin-then-quantify computation.
-                let mut conj = state;
-                for p in &parts {
-                    conj = m.and(conj, *p);
-                }
-                assert_eq!(image, m.exists(conj, &xvars));
-                let s = m.stats();
-                let mut metrics = kernel_metrics(&m);
-                metrics.push(("fused_hit_rate".into(), s.fused_hit_rate()));
-                metrics.push(("partitions".into(), s.partitions_consumed as f64));
-                metrics.push(("partition_peak".into(), s.partition_peak_nodes as f64));
-                metrics
-            })
-        },
-    });
-
     // --- campaign workloads -----------------------------------------
 
     out.push(Workload {
@@ -689,32 +631,6 @@ pub fn workloads(options: &BenchOptions) -> Vec<Workload> {
         },
     });
 
-    out.push(Workload {
-        name: "campaign/ifr-paper-monolithic",
-        kind: WorkloadKind::Campaign,
-        run: {
-            let spec = ifr_paper_spec(Partitioning::Monolithic, options);
-            Box::new(move || {
-                let report = spec.run();
-                assert!(report.all_hold(), "the paper IFR suite must pass");
-                campaign_metrics(&report)
-            })
-        },
-    });
-
-    out.push(Workload {
-        name: "campaign/ifr-paper-conjunctive",
-        kind: WorkloadKind::Campaign,
-        run: {
-            let spec = ifr_paper_spec(Partitioning::Conjunctive, options);
-            Box::new(move || {
-                let report = spec.run();
-                assert!(report.all_hold(), "the paper IFR suite must pass");
-                campaign_metrics(&report)
-            })
-        },
-    });
-
     // --- persistent-store ablation pair -----------------------------
     // The same paper-sized IFR job cold (no store: netlist compiled and
     // every BDD built from scratch) and warm (store-backed: the model and
@@ -727,7 +643,7 @@ pub fn workloads(options: &BenchOptions) -> Vec<Workload> {
         name: "campaign/ifr-paper-cold",
         kind: WorkloadKind::Campaign,
         run: {
-            let spec = ifr_paper_spec(options.partitioning, options);
+            let spec = ifr_paper_spec(options);
             Box::new(move || {
                 let report = spec.run();
                 assert!(report.all_hold(), "the paper IFR suite must pass");
@@ -740,7 +656,7 @@ pub fn workloads(options: &BenchOptions) -> Vec<Workload> {
         name: "campaign/ifr-paper-warm",
         kind: WorkloadKind::Campaign,
         run: {
-            let spec = ifr_paper_spec(options.partitioning, options);
+            let spec = ifr_paper_spec(options);
             let dir =
                 std::env::temp_dir().join(format!("ssr-bench-warm-store-{}", std::process::id()));
             let mut primed = false;
@@ -781,7 +697,7 @@ pub fn workloads(options: &BenchOptions) -> Vec<Workload> {
                 suites: Suite::ALL.to_vec(),
                 granularity: Granularity::Suite,
                 order: options.order.clone(),
-                partitioning: options.partitioning,
+                partitioning: Partitioning::default(),
                 reorder: options.reorder,
                 threads: 1,
                 budget: JobBudget::default(),
@@ -966,7 +882,7 @@ mod tests {
     fn kernel_workloads_run_and_report() {
         let report = run_workloads(&["kernel".to_owned()], 1, 0, &BenchOptions::default())
             .expect("kernel workloads run");
-        assert_eq!(report.results.len(), 7);
+        assert_eq!(report.results.len(), 6);
         for r in &report.results {
             assert_eq!(r.kind, "kernel");
             assert!(r.median_ns > 0);
@@ -980,13 +896,6 @@ mod tests {
             .find(|r| r.name == "kernel/negation-heavy")
             .expect("the negation-heavy workload is registered");
         assert!(negheavy.metrics["complement_share"] > 0.0);
-        let relprod = report
-            .results
-            .iter()
-            .find(|r| r.name == "kernel/relational-product")
-            .expect("the fused relational product is registered");
-        assert!(relprod.metrics["partitions"] >= 2.0);
-        assert!(relprod.metrics["partition_peak"] > 0.0);
     }
 
     #[test]

@@ -3,8 +3,7 @@
 
 use ssr_cpu::ControlPath;
 use ssr_engine::{
-    named_policies, policy_by_name, Granularity, NamedConfig, NamedPolicy, OrderPolicy,
-    Partitioning, Suite,
+    named_policies, policy_by_name, Granularity, NamedConfig, NamedPolicy, OrderPolicy, Suite,
 };
 
 /// The usage text shown on `ssr help` and on parse errors.
@@ -79,19 +78,6 @@ OPTIONS:
                                   Rudell sifting at the checker's safe
                                   points.  Changes node counts and peak
                                   memory, never verdicts.
-    --partitioning <monolithic|conjunctive|auto>
-                                  STE relation-frame strategy: monolithic
-                                  conjoins every consequent constraint into
-                                  one verdict BDD up front; conjunctive
-                                  keeps them as an ordered partition list,
-                                  streams the trajectory and combines them
-                                  cheapest-support-first with early
-                                  quantification (lower peak memory on
-                                  memory-heavy suites); auto picks
-                                  conjunctive for jobs with enough
-                                  constraints.  Part of the job identity;
-                                  changes telemetry, never verdicts.
-                                                              [default: auto]
     --max-growth <X>              Sifting growth cap (default 1.2): abort a
                                   variable's exploration once the live node
                                   count exceeds X times its starting size
@@ -214,7 +200,7 @@ SUBMIT OPTIONS (ssr submit):
                                   of submitting
     --shutdown                    Stop the daemon instead of submitting
     Campaign shape flags (--config/--policy/--suite/--granularity/--order/
-    --partitioning/--reorder/--max-growth) choose what to submit;
+    --reorder/--max-growth) choose what to submit;
     --json/--quiet control output like `ssr campaign`.
 
 EXIT CODE:
@@ -297,8 +283,6 @@ pub struct Command {
     pub order: OrderPolicy,
     /// Enable automatic GC + sifting (`--reorder`).
     pub reorder: bool,
-    /// STE partitioning strategy (`--partitioning`).
-    pub partitioning: Partitioning,
     /// Sifting growth cap (`--max-growth`).
     pub max_growth: f64,
     /// Where to write the JSON report (`-` = stdout).
@@ -451,7 +435,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
     let mut granularity: Option<Granularity> = None;
     let mut order = OrderPolicy::Interleaved;
     let mut reorder = false;
-    let mut partitioning = Partitioning::default();
     let mut max_growth = 1.2f64;
     let mut control_path = ControlPath::RefreshingIfr;
     let mut json = None;
@@ -520,12 +503,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 })?;
             }
             "--reorder" => reorder = true,
-            "--partitioning" => {
-                let v = value("--partitioning")?;
-                partitioning = Partitioning::parse(&v).ok_or_else(|| {
-                    format!("unknown partitioning `{v}` (try monolithic, conjunctive or auto)")
-                })?;
-            }
             "--max-growth" => {
                 let v = value("--max-growth")?;
                 max_growth = v
@@ -753,7 +730,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
         granularity,
         order,
         reorder,
-        partitioning,
         max_growth,
         json,
         quiet,
@@ -924,22 +900,16 @@ mod tests {
     }
 
     #[test]
-    fn partitioning_flag_parses_with_auto_default() {
-        let cmd = parse(&argv(&["campaign"])).expect("parses");
-        assert_eq!(cmd.partitioning, Partitioning::Auto);
-        let cmd = parse(&argv(&["campaign", "--partitioning", "conjunctive"])).expect("parses");
-        assert_eq!(cmd.partitioning, Partitioning::Conjunctive);
-        let cmd = parse(&argv(&[
-            "check",
-            "--suite",
-            "ifr",
-            "--partitioning",
-            "monolithic",
-        ]))
-        .expect("parses");
-        assert_eq!(cmd.partitioning, Partitioning::Monolithic);
-        assert!(parse(&argv(&["campaign", "--partitioning", "sideways"])).is_err());
-        assert!(parse(&argv(&["campaign", "--partitioning"])).is_err());
+    fn partitioning_flag_is_rejected() {
+        // There is one checker: the former mode flag is an unknown option
+        // on every command, `submit` included.
+        for command in ["campaign", "bench", "stats", "submit"] {
+            assert!(parse(&argv(&[command])).is_ok());
+            assert!(parse(&argv(&[command, "--partitioning", "auto"])).is_err());
+        }
+        assert!(parse(&argv(&["check", "--suite", "ifr"])).is_ok());
+        let flagged = ["check", "--suite", "ifr", "--partitioning", "monolithic"];
+        assert!(parse(&argv(&flagged)).is_err());
     }
 
     #[test]

@@ -169,7 +169,7 @@ fn spec_from_flags(cmd: &Command) -> CampaignSpec {
         suites,
         granularity: cmd.granularity.unwrap_or(Granularity::Suite),
         order: cmd.order.clone(),
-        partitioning: cmd.partitioning,
+        partitioning: ssr_engine::Partitioning::default(),
         reorder: maintenance(cmd),
         threads: cmd.jobs,
         budget: JobBudget {
@@ -446,7 +446,6 @@ fn bench(cmd: &Command) -> ExitCode {
         let options = BenchOptions {
             order: cmd.order.clone(),
             reorder: maintenance(cmd),
-            partitioning: cmd.partitioning,
             serve_clients: cmd.clients,
             serve_requests: cmd.requests,
         };
@@ -796,14 +795,6 @@ fn kernel_stats(cmd: &Command, harness: &CoreHarness, config: &ssr_cpu::CoreConf
             for b in &bdds {
                 m.root(*b);
             }
-            // Fold each assertion's compiled rails through the partitioned
-            // (cheapest-support-first) reduction so the census reports real
-            // fused-op and per-partition telemetry for this design, the way
-            // the conjunctive checker consumes constraint frames.
-            if cmd.partitioning != ssr_engine::Partitioning::Monolithic {
-                let folded = m.exists_conjunction(&bdds, &[]);
-                m.root(folded);
-            }
             built += 1;
         }
         m.maintain();
@@ -838,14 +829,6 @@ fn kernel_stats(cmd: &Command, harness: &CoreHarness, config: &ssr_cpu::CoreConf
         s.reorder_passes,
         s.level_swaps,
         m.sift_nanos() / 1_000_000,
-    );
-    println!(
-        "    fused and-exists {:.1}% hit, {} partition(s) consumed, peak {} nodes/partition \
-         (partitioning={})",
-        100.0 * s.fused_hit_rate(),
-        s.partitions_consumed,
-        s.partition_peak_nodes,
-        cmd.partitioning.name(),
     );
     ssr_engine::ManagerPool::global().release(m);
 }

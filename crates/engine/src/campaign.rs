@@ -230,14 +230,12 @@ pub struct CampaignSpec {
     /// the job identity, so `--resume`/`ssr diff` never mix verdicts
     /// across orders.
     pub order: OrderPolicy,
-    /// Relation-partitioning strategy for the checker (monolithic eager
-    /// conjunction vs streamed conjunctive partitions with early
-    /// quantification; `auto` picks per assertion).  Part of the job
-    /// identity like `order`: verdicts are identical across strategies,
-    /// but resource telemetry is not, so resumed runs never mix records.
+    /// Ignored: every job runs the one streaming checker.  Kept for source
+    /// compatibility.
     pub partitioning: Partitioning,
     /// Automatic GC + dynamic-reordering policy for the workers' managers
-    /// (`None` keeps the historical never-free kernel behaviour).  An
+    /// (`None` leaves each assertion on the GC-only policy that
+    /// [`ssr_ste::Ste::check_all`] installs).  An
     /// execution parameter like `threads`: it changes node counts and peak
     /// memory, never verdicts, and is not part of job identity.
     pub reorder: Option<MaintainSettings>,
@@ -279,7 +277,6 @@ impl CampaignSpec {
             &self.suites,
             self.granularity,
             &self.order,
-            self.partitioning,
         )
     }
 
@@ -623,8 +620,7 @@ fn panicked_job(spec: &JobSpec, payload: &(dyn std::any::Any + Send)) -> JobResu
 
 /// A result skeleton for `spec` with no assertions checked yet.
 fn empty_result(spec: &JobSpec) -> JobResult {
-    let (config_name, policy_name, suite, part, order, partitioning) =
-        crate::report::job_identity(spec);
+    let (config_name, policy_name, suite, part, order) = crate::report::job_identity(spec);
     JobResult {
         job_id: spec.id as u64,
         config_name,
@@ -632,7 +628,7 @@ fn empty_result(spec: &JobSpec) -> JobResult {
         suite,
         part,
         order,
-        partitioning,
+        partitioning: crate::report::LEGACY_PARTITIONING.to_owned(),
         assertions: Vec::new(),
         holds: false,
         bdd_nodes: 0,
@@ -708,7 +704,6 @@ pub fn run_job_sourced(
     let key = source.map(|_| crate::store::FunctionKey {
         config: &spec.config,
         order: &spec.order,
-        partitioning: spec.partitioning,
         suite: spec.suite.name(),
         part: &part_name,
     });
@@ -732,7 +727,7 @@ pub fn run_job_sourced(
         JobPart::Assertion(index) => vec![spec.suite.assertion(harness, m, index)],
     };
 
-    match harness.check_all_with(m, &assertions, spec.partitioning) {
+    match harness.check_all(m, &assertions) {
         Ok(reports) => {
             result.assertions = reports.iter().map(summarise_check).collect();
             result.holds = reports.iter().all(|r| r.holds);
@@ -1139,22 +1134,20 @@ mod tests {
         assert!(!report.all_hold());
     }
 
-    /// The one-shot degradation retry: a budget the raw run exhausts but
-    /// GC+sifting fits inside recovers the true verdict on the retry.
+    /// The one-shot degradation retry: a node budget below the default GC
+    /// threshold exhausts the raw GC-only run before its first collection,
+    /// and the GC+sift retry (thresholds clamped under the raised ceiling)
+    /// recovers the true verdict.
     #[test]
     fn the_degradation_retry_recovers_jobs_the_raw_run_exhausts() {
-        // Establish the job's ungoverned appetite first, then budget well
-        // below it (the small PropertyTwo suite allocates ~100k nodes
-        // without GC but stays tiny when collected).  Pinned monolithic:
-        // the conjunctive path already forces GC, so the raw run would
-        // never over-allocate and the retry would have nothing to recover.
-        let mut unlimited_spec = tiny_spec(1, Granularity::Suite);
-        unlimited_spec.partitioning = Partitioning::Monolithic;
-        let unlimited = unlimited_spec.run();
-        let appetite = unlimited.jobs[0].bdd_nodes;
+        let budget = MaintainSettings::default().gc_threshold as u64 / 2;
+        let unlimited = tiny_spec(1, Granularity::Suite).run();
+        assert!(
+            unlimited.jobs[0].peak_live_nodes > budget,
+            "the raw run must outgrow the budget"
+        );
         let mut spec = tiny_spec(1, Granularity::Suite);
-        spec.partitioning = Partitioning::Monolithic;
-        spec.budget.node_budget = Some(appetite / 4);
+        spec.budget.node_budget = Some(budget);
         let governed = spec.run();
         let job = &governed.jobs[0];
         assert!(
@@ -1222,26 +1215,5 @@ mod tests {
         };
         let governed = spec.run();
         assert_eq!(free.canonical_json(), governed.canonical_json());
-    }
-
-    /// The partition-ablation gate: the same campaign under every
-    /// partitioning strategy yields byte-identical canonical reports —
-    /// verdicts, counterexample summaries and constraint counts agree;
-    /// the canonical artifact blanks the strategy field and zeroes the
-    /// kernel telemetry that legitimately differs.
-    #[test]
-    fn partitioning_modes_are_canonically_byte_identical() {
-        for granularity in [Granularity::Suite, Granularity::Assertion] {
-            let mut reference: Option<String> = None;
-            for mode in Partitioning::ALL {
-                let mut spec = tiny_spec(1, granularity);
-                spec.partitioning = mode;
-                let report = spec.run();
-                assert!(report.jobs.iter().any(|j| !j.holds), "none policy fails");
-                let canonical = report.canonical_json();
-                let reference = reference.get_or_insert_with(|| canonical.clone());
-                assert_eq!(*reference, canonical, "{} diverged", mode.name());
-            }
-        }
     }
 }

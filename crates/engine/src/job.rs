@@ -263,10 +263,8 @@ pub struct JobSpec {
     /// Part of the job identity (`order=` in reports), so resumed runs can
     /// never reuse a verdict computed under a different order.
     pub order: OrderPolicy,
-    /// The relation-partitioning strategy the checker runs under.  Part of
-    /// the job identity like `order` (verdicts are provably identical
-    /// across strategies, but resource telemetry is not, so resumed runs
-    /// never mix results from different strategies).
+    /// Ignored: every job runs the one streaming checker.  Kept for source
+    /// compatibility.
     pub partitioning: Partitioning,
 }
 
@@ -304,19 +302,17 @@ pub fn enumerate_jobs(
         suites,
         granularity,
         &OrderPolicy::Interleaved,
-        Partitioning::default(),
     )
 }
 
-/// [`enumerate_jobs`] with an explicit variable-order preset and
-/// relation-partitioning strategy stamped onto every job.
+/// [`enumerate_jobs`] with an explicit variable-order preset stamped onto
+/// every job.
 pub fn enumerate_jobs_with(
     configs: &[NamedConfig],
     policies: &[NamedPolicy],
     suites: &[Suite],
     granularity: Granularity,
     order: &OrderPolicy,
-    partitioning: Partitioning,
 ) -> Vec<JobSpec> {
     let mut out = Vec::new();
     for named_config in configs {
@@ -342,7 +338,7 @@ pub fn enumerate_jobs_with(
                         suite,
                         part,
                         order: order.clone(),
-                        partitioning,
+                        partitioning: Partitioning::default(),
                     });
                 }
             }

@@ -52,7 +52,7 @@
 //!     suites: vec![Suite::PropertyTwo],
 //!     granularity: Granularity::Suite,
 //!     order: ssr_engine::OrderPolicy::Interleaved,
-//!     partitioning: ssr_engine::Partitioning::Auto,
+//!     partitioning: ssr_engine::Partitioning::default(),
 //!     reorder: None,
 //!     threads: 2,
 //!     budget: ssr_engine::JobBudget::default(),

@@ -14,11 +14,10 @@
 //! `ssr-campaign-report/v1` document or a (possibly truncated) journal —
 //! and [`plan_resume`] matches the recorded results against a fresh
 //! deterministic job enumeration.  Matching validates the full job
-//! *identity* (config, policy, suite, part, order, partitioning at the
-//! recorded id), not just
-//! the index, so a resume file from a different campaign shape can never
-//! silently stand in for work that was not done: mismatches are counted as
-//! stale and re-run.
+//! *identity* (config, policy, suite, part and order at the recorded id),
+//! not just the index, so a resume file from a different campaign shape
+//! can never silently stand in for work that was not done: mismatches are
+//! counted as stale and re-run.
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -407,9 +406,10 @@ impl ResumePlan {
 /// Matches `prior` results against the deterministic enumeration `jobs`.
 ///
 /// A recorded result is reused only when the job at its recorded id exists
-/// *and* carries the same (config, policy, suite, part, order, partitioning)
-/// identity — resuming validates what the work was, not merely where it sat
-/// in the list.
+/// *and* carries the same (config, policy, suite, part, order) identity —
+/// resuming validates what the work was, not merely where it sat in the
+/// list.  The legacy `partitioning` tag is not part of it: every former
+/// mode computed the same verdicts the one checker does.
 pub fn plan_resume(jobs: &[JobSpec], prior: &[JobResult]) -> ResumePlan {
     let mut reused: std::collections::BTreeMap<usize, JobResult> =
         std::collections::BTreeMap::new();
@@ -424,7 +424,6 @@ pub fn plan_resume(jobs: &[JobSpec], prior: &[JobResult]) -> ResumePlan {
                     result.suite.clone(),
                     result.part.clone(),
                     result.order.clone(),
-                    result.partitioning.clone(),
                 )
         });
         if matches {
@@ -580,6 +579,28 @@ mod tests {
         assert_eq!(plan.stale, 2);
         assert_eq!(plan.pending, vec![1]);
         assert!(!plan.complete());
+    }
+
+    #[test]
+    fn records_of_former_partitioning_modes_are_reused() {
+        let jobs = enumerate_jobs(
+            &[NamedConfig::small()],
+            &[
+                policy_by_name("architectural").expect("named"),
+                policy_by_name("none").expect("named"),
+            ],
+            &[Suite::PropertyTwo],
+            Granularity::Suite,
+        );
+        let mut monolithic = sample_result(0, "architectural", "suite");
+        monolithic.partitioning = "monolithic".into();
+        let mut conjunctive = sample_result(1, "none", "suite");
+        conjunctive.partitioning = "conjunctive".into();
+        let prior = [monolithic.clone(), conjunctive.clone()];
+        let plan = plan_resume(&jobs, &prior);
+        assert_eq!(plan.reused, vec![(0, monolithic), (1, conjunctive)]);
+        assert_eq!(plan.stale, 0);
+        assert!(plan.complete());
     }
 
     #[test]

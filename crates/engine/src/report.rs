@@ -39,8 +39,10 @@ pub struct JobResult {
     /// Variable-order preset the job compiled under (part of the job
     /// identity; pre-ordering reports parse as `"interleaved"`).
     pub order: String,
-    /// Relation-partitioning strategy the checker ran under (part of the
-    /// job identity; pre-partitioning reports parse as `"auto"`).
+    /// Legacy relation-partitioning tag: written as
+    /// [`LEGACY_PARTITIONING`], parsed as recorded (`"auto"` when absent),
+    /// blanked by [`CampaignReport::canonical`] and not part of the job
+    /// identity, so records tagged `monolithic` or `conjunctive` resume.
     pub partitioning: String,
     /// Per-assertion outcomes, in suite order.
     pub assertions: Vec<AssertionOutcome>,
@@ -333,14 +335,14 @@ impl CampaignReport {
     }
 
     /// A copy of the report with every wall-clock field, the worker count
-    /// and the kernel-arena telemetry zeroed, and the partitioning
-    /// strategy blanked: the scheduling-, timing- and strategy-independent
-    /// content.  Two runs of the same campaign — at any thread count, with
-    /// or without manager-pool reuse, fresh or resumed from a checkpoint,
-    /// under any [`Partitioning`](ssr_properties::Partitioning) strategy —
-    /// must serialise this to byte-identical JSON.  (Node counts and cache
-    /// telemetry are deterministic per strategy but legitimately differ
-    /// across strategies, exactly like timing across thread counts.)
+    /// and the kernel-arena telemetry zeroed, and the legacy partitioning
+    /// tag blanked: the scheduling- and timing-independent content.  Two
+    /// runs of the same campaign — at any thread count, with or without
+    /// manager-pool reuse, fresh or resumed from a checkpoint, including
+    /// one recorded under a former partitioning mode — must serialise this
+    /// to byte-identical JSON.  (Node counts and cache telemetry vary with
+    /// the maintenance policy and the reuse history, like timing across
+    /// thread counts.)
     pub fn canonical(&self) -> CampaignReport {
         let mut report = self.clone();
         report.total_wall_ms = 0;
@@ -606,20 +608,21 @@ impl CampaignReport {
     }
 }
 
+/// The value every new [`JobResult::partitioning`] carries: the former
+/// default, so the report schema stays `ssr-campaign-report/v1`.
+pub const LEGACY_PARTITIONING: &str = "auto";
+
 /// Builds the table/JSON identity of a job from its spec (shared by the
-/// executor, the resume planner and the tests).  The order preset and the
-/// partitioning strategy are part of the identity: a record computed under
-/// one variable order or partitioning strategy must never stand in for a
-/// job scheduled under another (verdicts would match across strategies,
-/// but the telemetry would silently mix).
-pub fn job_identity(spec: &JobSpec) -> (String, String, String, String, String, String) {
+/// executor, the resume planner and the tests).  The order preset is part
+/// of the identity: a record computed under one variable order must never
+/// stand in for a job scheduled under another.
+pub fn job_identity(spec: &JobSpec) -> (String, String, String, String, String) {
     (
         spec.config_name.clone(),
         spec.policy_name.clone(),
         spec.suite.name().to_owned(),
         spec.part.render(),
         spec.order.name(),
-        spec.partitioning.name().to_owned(),
     )
 }
 

@@ -60,12 +60,6 @@ pub fn spec_to_json(spec: &CampaignSpec) -> Json {
             fields.push((key, Json::Num(v as f64)));
         }
     }
-    // Emitted only when non-default, like the budget keys: a default
-    // (`auto`) spec's wire object stays byte-identical to pre-partitioning
-    // `ssr-serve/v1`.
-    if spec.partitioning != Partitioning::default() {
-        fields.push(("partitioning", Json::Str(spec.partitioning.name().into())));
-    }
     Json::obj(fields)
 }
 
@@ -116,6 +110,8 @@ pub fn spec_from_json(v: &Json) -> Result<CampaignSpec, String> {
         Some(text) => OrderPolicy::parse(text).ok_or_else(|| format!("unknown order `{text}`"))?,
         None => OrderPolicy::Interleaved,
     };
+    // Legacy key: older clients may still send it, so it parses (unknown
+    // values are rejected), but it selects nothing and is never emitted.
     let partitioning = match v.get("partitioning").and_then(Json::as_str) {
         Some(text) => {
             Partitioning::parse(text).ok_or_else(|| format!("unknown partitioning `{text}`"))?
@@ -174,7 +170,7 @@ mod tests {
             suites: Suite::ALL.to_vec(),
             granularity: Granularity::Assertion,
             order: OrderPolicy::Reverse,
-            partitioning: Partitioning::Conjunctive,
+            partitioning: Partitioning::default(),
             reorder: Some(MaintainSettings {
                 sift: true,
                 max_growth: 1.5,
@@ -200,7 +196,6 @@ mod tests {
         assert_eq!(parsed.suites, spec.suites);
         assert_eq!(parsed.granularity, spec.granularity);
         assert_eq!(parsed.order, spec.order);
-        assert_eq!(parsed.partitioning, spec.partitioning);
         assert_eq!(parsed.threads, spec.threads);
         let growth = parsed.reorder.expect("reorder carried").max_growth;
         assert!((growth - 1.5).abs() < 1e-9);
@@ -275,28 +270,30 @@ mod tests {
 
     #[test]
     fn default_partitioning_emits_no_wire_key() {
-        let mut spec = sample();
-        spec.partitioning = Partitioning::default();
-        let wire = spec_to_json(&spec);
-        assert!(
-            wire.get("partitioning").is_none(),
-            "pre-partitioning wire shape preserved for auto"
-        );
-        assert_eq!(
-            spec_from_json(&wire).expect("parses").partitioning,
-            Partitioning::Auto
-        );
-        // Non-default strategies travel and reject unknown names.
-        let wire = spec_to_json(&sample());
-        assert_eq!(
-            wire.get("partitioning").and_then(Json::as_str),
-            Some("conjunctive")
-        );
-        let mut bad = spec_to_json(&sample());
-        if let Json::Obj(map) = &mut bad {
-            map.insert("partitioning".into(), Json::Str("sideways".into()));
+        // No value of the ignored field reaches the wire...
+        for mode in [
+            Partitioning::Monolithic,
+            Partitioning::Conjunctive,
+            Partitioning::Auto,
+        ] {
+            let mut spec = sample();
+            spec.partitioning = mode;
+            assert!(spec_to_json(&spec).get("partitioning").is_none());
         }
-        let err = spec_from_json(&bad).expect_err("unknown partitioning");
+        // ...but specs from older clients that carry it still parse, to
+        // the same jobs, and unknown values are still rejected.
+        let with = |text: &str| {
+            let mut wire = spec_to_json(&sample());
+            if let Json::Obj(map) = &mut wire {
+                map.insert("partitioning".into(), Json::Str(text.into()));
+            }
+            spec_from_json(&wire)
+        };
+        for legacy in ["monolithic", "conjunctive", "auto"] {
+            let parsed = with(legacy).expect("legacy value parses");
+            assert_eq!(parsed.jobs(), sample().jobs());
+        }
+        let err = with("sideways").expect_err("unknown partitioning");
         assert!(err.contains("sideways"), "{err}");
     }
 }

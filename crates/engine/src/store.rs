@@ -9,7 +9,7 @@
 //!   (exact `ssr-netlist-store/v1` blobs, keyed by the full
 //!   `CoreConfig` — which includes the retention policy) and per-job BDD
 //!   function images (`ssr-store/v1` blobs, keyed by config × order ×
-//!   partitioning × suite × part × kernel format version) live side by
+//!   suite × part × kernel format version) live side by
 //!   side in one directory.  Commits are atomic (write-tmp-then-rename),
 //!   so concurrent campaigns sharing a store directory can never observe
 //!   a torn entry.
@@ -38,7 +38,7 @@ use ssr_bdd::{
 };
 use ssr_cpu::CoreConfig;
 use ssr_netlist::{Netlist, NetlistError};
-use ssr_properties::{CoreHarness, Partitioning};
+use ssr_properties::CoreHarness;
 
 /// The semantic identity of one job's persisted BDD functions.  Everything
 /// that can change the functions' *meaning* is part of the key; execution
@@ -50,8 +50,6 @@ pub struct FunctionKey<'a> {
     pub config: &'a CoreConfig,
     /// Variable-order preset the functions were built under.
     pub order: &'a OrderPolicy,
-    /// Relation-partitioning strategy of the checking job.
-    pub partitioning: Partitioning,
     /// Suite name (e.g. `ifr`).
     pub suite: &'a str,
     /// Job part (`suite` or `assertion N`).
@@ -62,10 +60,9 @@ impl FunctionKey<'_> {
     /// The stable textual material the content address is hashed from.
     fn material(&self) -> String {
         format!(
-            "fns|{:?}|{}|{}|{}|{}|kernel{}",
+            "fns|{:?}|{}|{}|{}|kernel{}",
             self.config,
             self.order.name(),
-            self.partitioning.name(),
             self.suite,
             self.part,
             KERNEL_FORMAT_VERSION,
@@ -567,7 +564,6 @@ mod tests {
         let key = FunctionKey {
             config: &config,
             order: &order,
-            partitioning: Partitioning::Auto,
             suite: "two",
             part: "suite",
         };
@@ -595,7 +591,6 @@ mod tests {
         let key = |suite: &'static str| FunctionKey {
             config: &config,
             order: &order,
-            partitioning: Partitioning::Auto,
             suite,
             part: "suite",
         };
@@ -620,7 +615,6 @@ mod tests {
         let key = FunctionKey {
             config: &config,
             order: &order,
-            partitioning: Partitioning::Auto,
             suite: "two",
             part: "suite",
         };
@@ -698,7 +692,7 @@ mod tests {
             suites: vec![ssr_properties::Suite::PropertyTwo],
             granularity: crate::job::Granularity::Suite,
             order: OrderPolicy::Interleaved,
-            partitioning: Partitioning::default(),
+            partitioning: ssr_properties::Partitioning::default(),
             reorder: None,
             threads: 1,
             budget: crate::job::JobBudget::default(),

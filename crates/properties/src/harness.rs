@@ -7,7 +7,36 @@ use ssr_bdd::{BddManager, BddVec, OrderPolicy};
 use ssr_cpu::{build_core, CoreConfig};
 use ssr_netlist::{Netlist, NetlistError};
 use ssr_sim::CompiledModel;
-use ssr_ste::{Assertion, CheckReport, Formula, Partitioning, Ste, SteError};
+use ssr_ste::{Assertion, CheckReport, Formula, Ste, SteError};
+
+/// A relation-partitioning mode from before the single streaming checker.
+///
+/// Parse-only: old reports, journals and `ssr-serve/v1` specs may still
+/// carry a `partitioning` value, which [`Partitioning::parse`] accepts
+/// (rejecting unknown ones), but no checker reads it and nothing emits it.
+/// Kept, with its `Default`, for source compatibility.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Partitioning {
+    /// The legacy `monolithic` value.
+    Monolithic,
+    /// The legacy `conjunctive` value.
+    Conjunctive,
+    /// The legacy `auto` value, the former default.
+    #[default]
+    Auto,
+}
+
+impl Partitioning {
+    /// Parses a legacy `partitioning` value; `None` for unknown text.
+    pub fn parse(text: &str) -> Option<Partitioning> {
+        match text {
+            "monolithic" => Some(Partitioning::Monolithic),
+            "conjunctive" => Some(Partitioning::Conjunctive),
+            "auto" => Some(Partitioning::Auto),
+            _ => None,
+        }
+    }
+}
 
 /// A generated core together with everything needed to check STE assertions
 /// against it.
@@ -130,8 +159,8 @@ impl CoreHarness {
         Ste::new(&self.model).check_all(m, assertions)
     }
 
-    /// Checks a whole suite under an explicit relation-[`Partitioning`]
-    /// strategy (see [`Ste::check_all_with`]).
+    /// [`CoreHarness::check_all`], ignoring the legacy [`Partitioning`]
+    /// argument.  Kept for source compatibility.
     ///
     /// # Errors
     /// Propagates elaboration errors from the STE engine.
@@ -139,9 +168,9 @@ impl CoreHarness {
         &self,
         m: &mut BddManager,
         assertions: &[Assertion],
-        partitioning: Partitioning,
+        _: Partitioning,
     ) -> Result<Vec<CheckReport>, SteError> {
-        Ste::new(&self.model).check_all_with(m, assertions, partitioning)
+        self.check_all(m, assertions)
     }
 
     // ------------------------------------------------------------------
@@ -268,5 +297,23 @@ impl CoreHarness {
             ssr_cpu::ControlPath::Combinational => "Opcode",
             _ => "IFR_Instr",
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn legacy_partitioning_values_parse() {
+        for (text, mode) in [
+            ("monolithic", Partitioning::Monolithic),
+            ("conjunctive", Partitioning::Conjunctive),
+            ("auto", Partitioning::Auto),
+        ] {
+            assert_eq!(Partitioning::parse(text), Some(mode));
+        }
+        assert_eq!(Partitioning::parse("bogus"), None);
+        assert_eq!(Partitioning::default(), Partitioning::Auto);
     }
 }

@@ -32,6 +32,5 @@ pub mod property_one;
 pub mod property_two;
 pub mod suite;
 
-pub use harness::CoreHarness;
-pub use ssr_ste::Partitioning;
+pub use harness::{CoreHarness, Partitioning};
 pub use suite::Suite;

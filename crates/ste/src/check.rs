@@ -10,62 +10,6 @@ use ssr_ternary::{SymTernary, Ternary};
 use crate::error::SteError;
 use crate::formula::{Assertion, Formula};
 
-/// How the checker represents the verification condition while it is being
-/// built.
-///
-/// The monolithic strategy conjoins every point-wise `⊑` condition into one
-/// `ok` BDD as the trajectory unfolds, keeping the whole trajectory alive
-/// until the end of the check.  The conjunctive strategy instead keeps the
-/// conditions as an ordered partition list — implicitly conjoined relation
-/// frames — and streams the trajectory one state at a time, so the kernel
-/// can collect each state as soon as its successor is computed; the
-/// partitions are only combined at the end, cheapest support first, through
-/// the fused [`BddManager::and_exists`] relational product with a greedy
-/// early-quantification schedule.  Verdicts and counterexamples are
-/// identical either way (BDDs are canonical, and a `true` condition is the
-/// conjunction identity); only peak memory and wall-clock differ.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Partitioning {
-    /// Eagerly conjoin conditions and retain the full trajectory.
-    Monolithic,
-    /// Stream the trajectory and keep conditions as partition frames.
-    Conjunctive,
-    /// Per assertion: conjunctive when the consequent has at least
-    /// [`AUTO_PARTITION_THRESHOLD`] point-wise constraints, else monolithic.
-    #[default]
-    Auto,
-}
-
-impl Partitioning {
-    /// Every mode, in presentation order.
-    pub const ALL: [Partitioning; 3] = [
-        Partitioning::Monolithic,
-        Partitioning::Conjunctive,
-        Partitioning::Auto,
-    ];
-
-    /// Stable lower-case identifier (CLI flag value and report field).
-    pub fn name(self) -> &'static str {
-        match self {
-            Partitioning::Monolithic => "monolithic",
-            Partitioning::Conjunctive => "conjunctive",
-            Partitioning::Auto => "auto",
-        }
-    }
-
-    /// Parses [`Partitioning::name`] output.
-    pub fn parse(text: &str) -> Option<Partitioning> {
-        Partitioning::ALL.into_iter().find(|p| p.name() == text)
-    }
-}
-
-/// Consequent-constraint count at which [`Partitioning::Auto`] switches an
-/// assertion to the conjunctive strategy.  Below this the partition list is
-/// too short for early quantification to pay for its bookkeeping; at or
-/// above it (word-level datapath and memory assertions) the streamed
-/// trajectory dominates peak live nodes.
-pub const AUTO_PARTITION_THRESHOLD: usize = 8;
-
 /// One violated consequent constraint in a counterexample.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FailedNode {
@@ -171,16 +115,17 @@ impl<'m> Ste<'m> {
 
     /// Checks the assertion `A ⇒ C` against the model.
     ///
-    /// When the manager has an automatic maintenance policy installed
-    /// ([`BddManager::set_maintenance`]), the checker declares safe
-    /// points: the assertion's guards, the antecedent/consequent
-    /// constraints and every trajectory state computed so far are
-    /// registered in a scoped root set, and the simulator may
-    /// garbage-collect and resift between gates and steps.  The verdict
-    /// is unchanged either way; only node counts and peak memory differ.
-    /// Note that after such a check the raw BDDs in the returned
-    /// [`CheckReport`] (`ok`, `antecedent_conflict`) are only guaranteed
-    /// valid until the next collection.
+    /// The checker streams the defining trajectory one state at a time and
+    /// folds the antecedent-conflict and verdict BDDs as it goes.  Only the
+    /// assertion's guards, the antecedent/consequent constraints, the
+    /// newest state, the two folds and the trajectory values that violate
+    /// a constraint are rooted, so a maintenance policy installed on the
+    /// manager ([`BddManager::set_maintenance`]) may garbage-collect (and
+    /// resift) the older states between steps.  Without a policy nothing
+    /// is collected.  The verdict is the same either way; only node counts
+    /// and peak memory differ.  After a check under a policy the raw BDDs
+    /// in the returned [`CheckReport`] (`ok`, `antecedent_conflict`) are
+    /// only guaranteed valid until the next collection.
     ///
     /// # Errors
     /// Returns [`SteError::UnknownNode`] if either formula mentions a node
@@ -190,29 +135,10 @@ impl<'m> Ste<'m> {
         m: &mut BddManager,
         assertion: &Assertion,
     ) -> Result<CheckReport, SteError> {
-        self.check_with(m, assertion, Partitioning::Monolithic)
-    }
-
-    /// Checks the assertion under an explicit [`Partitioning`] strategy.
-    ///
-    /// See [`Ste::check`] for the rooting and lifetime contract; the
-    /// conjunctive strategy additionally installs a GC-only maintenance
-    /// policy for its own duration when the caller has none, since the
-    /// streamed trajectory only saves memory if dead states are actually
-    /// collected.
-    ///
-    /// # Errors
-    /// Returns [`SteError::UnknownNode`] if either formula mentions a node
-    /// that does not exist in the model.
-    pub fn check_with(
-        &self,
-        m: &mut BddManager,
-        assertion: &Assertion,
-        partitioning: Partitioning,
-    ) -> Result<CheckReport, SteError> {
         let start = Instant::now();
         let netlist = self.model.netlist();
         let depth = assertion.depth();
+        let state_bits = self.model.state_bits();
 
         // A job whose deadline already lapsed (e.g. on a later assertion
         // of a long suite) gives up before elaborating anything new.
@@ -220,194 +146,16 @@ impl<'m> Ste<'m> {
         let a_seq = assertion.antecedent.defining_sequence(m, netlist, depth)?;
         let c_seq = assertion.consequent.defining_sequence(m, netlist, depth)?;
 
-        let conjunctive = match partitioning {
-            Partitioning::Monolithic => false,
-            Partitioning::Conjunctive => true,
-            Partitioning::Auto => {
-                c_seq.iter().map(Vec::len).sum::<usize>() >= AUTO_PARTITION_THRESHOLD
-            }
-        };
-        if conjunctive {
-            self.check_conjunctive(m, assertion, &a_seq, &c_seq, start)
-        } else {
-            self.check_monolithic(m, assertion, &a_seq, &c_seq, start)
-        }
-    }
-
-    /// The eager strategy: simulate the full trajectory, then conjoin every
-    /// condition into one `ok` BDD.
-    fn check_monolithic(
-        &self,
-        m: &mut BddManager,
-        assertion: &Assertion,
-        a_seq: &[Vec<(NetId, SymTernary)>],
-        c_seq: &[Vec<(NetId, SymTernary)>],
-        start: Instant,
-    ) -> Result<CheckReport, SteError> {
-        let netlist = self.model.netlist();
-        let depth = assertion.depth();
-
-        let maintaining = m.maintenance_enabled();
-        if maintaining {
-            m.push_root_frame();
-            // The assertion's own guard BDDs are rooted too, so the caller
-            // can re-check the same assertion after a collection.
-            let mut guards = Vec::new();
-            assertion.collect_bdds(&mut guards);
-            for guard in guards {
-                m.root(guard);
-            }
-            for seq in [a_seq, c_seq] {
-                for constraints in seq.iter() {
-                    for &(_, value) in constraints {
-                        m.root(value.hi());
-                        m.root(value.lo());
-                    }
-                }
-            }
-        }
-
-        let sim = SymSimulator::new(self.model);
-        let trajectory = if !maintaining {
-            sim.run(m, a_seq)
-        } else {
-            // Step manually so every completed state can be rooted before
-            // the kernel collects the step's dead intermediates (and
-            // resifts if the live set grew).
-            let mut trajectory: Vec<SymState> = Vec::with_capacity(depth);
-            for (t, drive) in a_seq.iter().enumerate() {
-                // Per-step deadline probe: tighter than the kernel's
-                // periodic in-recursion check, and at a point where the
-                // root frame makes unwinding safe.
-                m.check_deadline();
-                let state = if t == 0 {
-                    sim.initial_state(m, drive)
-                } else {
-                    sim.step(m, &trajectory[t - 1], drive)
-                };
-                for value in state.nodes() {
-                    m.root(value.hi());
-                    m.root(value.lo());
-                }
-                for index in 0..self.model.state_bits() {
-                    let shadow = state.shadow_clk(index);
-                    m.root(shadow.hi());
-                    m.root(shadow.lo());
-                }
-                m.maintain();
-                trajectory.push(state);
-            }
-            trajectory
-        };
-
-        // Antecedent consistency: a ⊤ on any antecedent-driven node means the
-        // stimulus contradicts the circuit (or itself) for those assignments.
-        let mut conflict = Bdd::FALSE;
-        for (t, constraints) in a_seq.iter().enumerate() {
-            for &(net, _) in constraints {
-                let top_here = trajectory[t].node(net).is_top(m);
-                conflict = m.or(conflict, top_here);
-            }
-        }
-
-        // The verification condition: ∀ t, n. [C] t n ⊑ [[A]] t n.
-        let mut ok = Bdd::TRUE;
-        let mut constraints_checked = 0usize;
-        let mut violated: Vec<(usize, NetId, SymTernary)> = Vec::new();
-        for (t, constraints) in c_seq.iter().enumerate() {
-            for &(net, required) in constraints {
-                let actual = trajectory[t].node(net);
-                let cond = required.leq(m, &actual);
-                constraints_checked += 1;
-                if !cond.is_true() {
-                    violated.push((t, net, required));
-                }
-                ok = m.and(ok, cond);
-            }
-        }
-
-        let holds = ok.is_true();
-        let counterexample = if holds {
-            None
-        } else {
-            let not_ok = m.not(ok);
-            m.one_sat(not_ok).map(|assignment| {
-                let mut failures = Vec::new();
-                for &(t, net, required) in &violated {
-                    let expected = required.eval(m, &assignment).unwrap_or(Ternary::X);
-                    let actual = trajectory[t]
-                        .node(net)
-                        .eval(m, &assignment)
-                        .unwrap_or(Ternary::X);
-                    if !expected.leq(actual) {
-                        failures.push(FailedNode {
-                            time: t,
-                            node: netlist.net(net).name.clone(),
-                            expected,
-                            actual,
-                        });
-                    }
-                }
-                Counterexample {
-                    assignment,
-                    failures,
-                }
-            })
-        };
-
-        if maintaining {
-            m.pop_root_frame();
-        }
-
-        Ok(CheckReport {
-            name: assertion.name.clone(),
-            holds,
-            ok,
-            antecedent_conflict: conflict,
-            counterexample,
-            depth,
-            constraints_checked,
-            duration: start.elapsed(),
-        })
-    }
-
-    /// The streaming strategy: keep only the newest trajectory state
-    /// protected, collect its predecessor each step, and gather the
-    /// point-wise conditions as an ordered partition list combined at the
-    /// end through [`BddManager::exists_conjunction`] (cheapest support
-    /// first, with per-partition peak-live-node telemetry).
-    fn check_conjunctive(
-        &self,
-        m: &mut BddManager,
-        assertion: &Assertion,
-        a_seq: &[Vec<(NetId, SymTernary)>],
-        c_seq: &[Vec<(NetId, SymTernary)>],
-        start: Instant,
-    ) -> Result<CheckReport, SteError> {
-        let netlist = self.model.netlist();
-        let depth = assertion.depth();
-        let state_bits = self.model.state_bits();
-
-        // Streaming only saves memory if dead states are actually
-        // collected, so force a GC-only policy when the caller installed
-        // none (sifting stays opt-in: it changes the variable order).
-        let saved = m.maintenance();
-        let forced = saved.is_none();
-        if forced {
-            m.set_maintenance(Some(MaintainSettings {
-                sift: false,
-                ..MaintainSettings::default()
-            }));
-        }
-
         m.push_root_frame();
+        // The assertion's own guard BDDs are rooted too, so the caller can
+        // re-check the same assertion after a collection.
         let mut guards = Vec::new();
         assertion.collect_bdds(&mut guards);
         for guard in guards {
             m.root(guard);
         }
-        for seq in [a_seq, c_seq] {
-            for constraints in seq.iter() {
+        for seq in [&a_seq, &c_seq] {
+            for constraints in seq {
                 for &(_, value) in constraints {
                     m.root(value.hi());
                     m.root(value.lo());
@@ -417,56 +165,56 @@ impl<'m> Ste<'m> {
 
         let sim = SymSimulator::new(self.model);
         let mut conflict = Bdd::FALSE;
-        let mut parts: Vec<Bdd> = Vec::new();
+        let mut ok = Bdd::TRUE;
         let mut constraints_checked = 0usize;
-        // Unlike the monolithic path the trajectory is gone by verdict
-        // time, so each violation records the actual value it saw.
+        // The trajectory is gone by verdict time, so each violation keeps
+        // the actual value it was compared against.
         let mut violated: Vec<(usize, NetId, SymTernary, SymTernary)> = Vec::new();
         let mut prev: Option<SymState> = None;
         for (t, drive) in a_seq.iter().enumerate() {
+            // Per-step deadline probe: tighter than the kernel's periodic
+            // in-recursion check, and at a point where the root frame
+            // makes unwinding safe.
             m.check_deadline();
             let state = match &prev {
                 None => sim.initial_state(m, drive),
                 Some(p) => sim.step(m, p, drive),
             };
-            protect_state(m, &state, state_bits);
-            if let Some(p) = prev.take() {
-                release_state(m, &p, state_bits);
+            // The predecessor's frame stays open through the step, which
+            // may collect between gates; nothing collects between closing
+            // it and rooting the new state.
+            if prev.is_some() {
+                m.pop_root_frame();
             }
+            m.push_root_frame();
+            root_state(m, &state, state_bits);
+            // Antecedent consistency: a ⊤ on any antecedent-driven node
+            // means the stimulus contradicts the circuit (or itself) for
+            // those assignments.
             for &(net, _) in drive {
                 let top_here = state.node(net).is_top(m);
                 let next = m.or(conflict, top_here);
-                m.protect(next);
-                m.release(conflict);
-                conflict = next;
+                swap_root(m, &mut conflict, next);
             }
+            // The verification condition: ∀ t, n. [C] t n ⊑ [[A]] t n.
             for &(net, required) in &c_seq[t] {
                 let actual = state.node(net);
                 let cond = required.leq(m, &actual);
                 constraints_checked += 1;
-                // A true condition is the conjunction identity — dropping
-                // it keeps `ok` (and therefore the verdict and the
-                // counterexample) identical to the monolithic fold.
                 if !cond.is_true() {
-                    m.protect(cond);
                     m.protect(actual.hi());
                     m.protect(actual.lo());
-                    parts.push(cond);
                     violated.push((t, net, required, actual));
+                    let next = m.and(ok, cond);
+                    swap_root(m, &mut ok, next);
                 }
             }
             m.maintain();
             prev = Some(state);
         }
-        if let Some(p) = prev.take() {
-            release_state(m, &p, state_bits);
+        if prev.is_some() {
+            m.pop_root_frame();
         }
-
-        // Combine the partition frames.  The quantification set is empty —
-        // every symbolic variable must survive into `ok` for `one_sat` —
-        // so this degenerates to the cheapest-support-first conjunction
-        // schedule, still recording per-partition peaks.
-        let ok = m.exists_conjunction(&parts, &[]);
 
         let holds = ok.is_true();
         let counterexample = if holds {
@@ -498,14 +246,9 @@ impl<'m> Ste<'m> {
             m.release(actual.hi());
             m.release(actual.lo());
         }
-        for &part in &parts {
-            m.release(part);
-        }
+        m.release(ok);
         m.release(conflict);
         m.pop_root_frame();
-        if forced {
-            m.set_maintenance(saved);
-        }
 
         Ok(CheckReport {
             name: assertion.name.clone(),
@@ -522,10 +265,14 @@ impl<'m> Ste<'m> {
     /// Checks a whole suite of assertions, returning one report per
     /// assertion in order.
     ///
-    /// With a maintenance policy installed, the guard BDDs of *every*
-    /// assertion are rooted for the duration of the run, so a collection
-    /// triggered inside one check cannot reclaim the formulas of the
-    /// checks still to come.
+    /// The guard BDDs of *every* assertion are rooted for the duration of
+    /// the run, so a collection triggered inside one check cannot reclaim
+    /// the formulas of the checks still to come.  Unlike [`Ste::check`],
+    /// a suite run always collects: when the caller installed no
+    /// maintenance policy, each assertion runs under a GC-only policy
+    /// (sifting stays opt-in, since it changes the variable order), and
+    /// the caller's `None` is restored after each one.  The streamed
+    /// trajectory only saves memory if dead states are actually collected.
     ///
     /// # Errors
     /// Fails fast on the first elaboration error.
@@ -534,68 +281,57 @@ impl<'m> Ste<'m> {
         m: &mut BddManager,
         assertions: &[Assertion],
     ) -> Result<Vec<CheckReport>, SteError> {
-        self.check_all_with(m, assertions, Partitioning::Monolithic)
-    }
-
-    /// [`Ste::check_all`] under an explicit [`Partitioning`] strategy.
-    ///
-    /// # Errors
-    /// Fails fast on the first elaboration error.
-    pub fn check_all_with(
-        &self,
-        m: &mut BddManager,
-        assertions: &[Assertion],
-        partitioning: Partitioning,
-    ) -> Result<Vec<CheckReport>, SteError> {
-        // Any non-monolithic mode may collect mid-suite (the conjunctive
-        // path forces a GC policy of its own), so the later assertions'
-        // guards need rooting even when the caller installed no policy.
-        let rooting = m.maintenance_enabled() || partitioning != Partitioning::Monolithic;
-        if rooting {
-            let mut guards = Vec::new();
-            for assertion in assertions {
-                assertion.collect_bdds(&mut guards);
-            }
-            m.push_root_frame();
-            for guard in guards {
-                m.root(guard);
-            }
+        let mut guards = Vec::new();
+        for assertion in assertions {
+            assertion.collect_bdds(&mut guards);
         }
+        m.push_root_frame();
+        for guard in guards {
+            m.root(guard);
+        }
+        let forced = !m.maintenance_enabled();
         let reports = assertions
             .iter()
-            .map(|a| self.check_with(m, a, partitioning))
+            .map(|assertion| {
+                // Installed per assertion, so each one starts a fresh GC
+                // schedule.
+                if forced {
+                    m.set_maintenance(Some(MaintainSettings {
+                        sift: false,
+                        ..MaintainSettings::default()
+                    }));
+                }
+                let report = self.check(m, assertion);
+                if forced {
+                    m.set_maintenance(None);
+                }
+                report
+            })
             .collect();
-        if rooting {
-            m.pop_root_frame();
-        }
+        m.pop_root_frame();
         reports
     }
 }
 
-/// Protects a trajectory state's node and shadow-clock rails for the
-/// streaming checker (refcounts, so nesting with root frames is safe).
-fn protect_state(m: &mut BddManager, state: &SymState, state_bits: usize) {
-    for value in state.nodes() {
-        m.protect(value.hi());
-        m.protect(value.lo());
-    }
-    for index in 0..state_bits {
-        let shadow = state.shadow_clk(index);
-        m.protect(shadow.hi());
-        m.protect(shadow.lo());
-    }
+/// Replaces the protected fold `acc` with `next`, protecting the new value
+/// before releasing the old one.
+fn swap_root(m: &mut BddManager, acc: &mut Bdd, next: Bdd) {
+    m.protect(next);
+    m.release(*acc);
+    *acc = next;
 }
 
-/// Undoes [`protect_state`] once the successor state is protected.
-fn release_state(m: &mut BddManager, state: &SymState, state_bits: usize) {
+/// Roots a trajectory state's node and shadow-clock rails in the innermost
+/// root frame.
+fn root_state(m: &mut BddManager, state: &SymState, state_bits: usize) {
     for value in state.nodes() {
-        m.release(value.hi());
-        m.release(value.lo());
+        m.root(value.hi());
+        m.root(value.lo());
     }
     for index in 0..state_bits {
         let shadow = state.shadow_clk(index);
-        m.release(shadow.hi());
-        m.release(shadow.lo());
+        m.root(shadow.hi());
+        m.root(shadow.lo());
     }
 }
 
@@ -605,6 +341,7 @@ mod tests {
     use ssr_bdd::BddVec;
     use ssr_netlist::builder::NetlistBuilder;
     use ssr_netlist::{Netlist, RegKind};
+    use ssr_sim::ConcreteSimulator;
 
     fn and_gate() -> Netlist {
         let mut b = NetlistBuilder::new("and");
@@ -624,20 +361,168 @@ mod tests {
         b.finish().expect("valid")
     }
 
+    fn adder4() -> Netlist {
+        // sum = a + b (mod 16).
+        let mut b = NetlistBuilder::new("adder");
+        let a_in = b.word_input("a", 4);
+        let b_in = b.word_input("b", 4);
+        let (sum, _carry) = b.word_add(&a_in, &b_in, None).expect("widths");
+        let named: Vec<_> = sum
+            .iter()
+            .enumerate()
+            .map(|(i, &s)| b.buf(format!("sum[{i}]"), s))
+            .collect();
+        b.mark_word_output(&named);
+        b.finish().expect("valid")
+    }
+
+    /// The dff capture property: drive `d = v` across a rising edge and
+    /// claim `q = v` at `claim_at`.  The model's documented timing makes
+    /// the value visible two steps later, so `claim_at == 1` is too early.
+    fn dff_claim(m: &mut BddManager, v: Bdd, claim_at: usize) -> Assertion {
+        let clock = Formula::is0("clock")
+            .and(Formula::is1("clock").delay(1))
+            .and(Formula::is0("clock").delay(2));
+        let data = Formula::is_bdd(m, "d", v).from_to(0, 2);
+        let claim = Formula::is_bdd(m, "q", v).delay(claim_at);
+        Assertion::named("dff_capture", clock.and(data), claim)
+    }
+
+    /// Evaluates every constraint of a defining sequence under a total
+    /// assignment.
+    fn instantiate(
+        m: &BddManager,
+        seq: &[Vec<(NetId, SymTernary)>],
+        assignment: &Assignment,
+    ) -> Vec<Vec<(NetId, Ternary)>> {
+        seq.iter()
+            .map(|step| {
+                step.iter()
+                    .map(|&(net, value)| (net, value.eval(m, assignment).expect("total")))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Compares `report` with exhaustive concrete simulation, an oracle
+    /// that shares no code with the BDD checker.  For every assignment of
+    /// the manager's (at most 8) variables, the antecedent and consequent
+    /// sequences are instantiated and the antecedent is run through
+    /// [`ConcreteSimulator`]; `ok` must hold there exactly when every
+    /// consequent constraint is below the concrete state.  A reported
+    /// failure must reproduce under the counterexample's assignment, its
+    /// unassigned variables taken as 0.
+    fn assert_matches_concrete(
+        model: &CompiledModel,
+        m: &mut BddManager,
+        assertion: &Assertion,
+        report: &CheckReport,
+    ) {
+        let vars = m.var_count() as u32;
+        assert!(vars <= 8, "exhaustive reference is for small assertions");
+        let netlist = model.netlist();
+        let depth = assertion.depth();
+        let a_seq = assertion
+            .antecedent
+            .defining_sequence(m, netlist, depth)
+            .expect("elaborates");
+        let c_seq = assertion
+            .consequent
+            .defining_sequence(m, netlist, depth)
+            .expect("elaborates");
+        let sim = ConcreteSimulator::new(model);
+        let total = |pick: &dyn Fn(u32) -> bool| {
+            let mut assignment = Assignment::new();
+            for var in 0..vars {
+                assignment.set(var, pick(var));
+            }
+            assignment
+        };
+
+        for bits in 0u32..1 << vars {
+            let assignment = total(&|var| bits >> var & 1 == 1);
+            let trace = sim.run(&instantiate(m, &a_seq, &assignment));
+            let holds_here =
+                instantiate(m, &c_seq, &assignment)
+                    .iter()
+                    .enumerate()
+                    .all(|(t, step)| {
+                        step.iter()
+                            .all(|&(net, required)| required.leq(trace[t].node(net)))
+                    });
+            assert_eq!(
+                m.eval(report.ok, &assignment),
+                Some(holds_here),
+                "assignment {bits:#b}"
+            );
+        }
+        assert_eq!(report.holds, report.ok.is_true());
+        assert_eq!(report.counterexample.is_some(), !report.holds);
+
+        if let Some(cex) = &report.counterexample {
+            let assignment = total(&|var| cex.assignment.get(var).unwrap_or(false));
+            assert_eq!(m.eval(report.ok, &assignment), Some(false));
+            let trace = sim.run(&instantiate(m, &a_seq, &assignment));
+            let consequent = instantiate(m, &c_seq, &assignment);
+            for failure in &cex.failures {
+                let net = netlist.find_net(&failure.node).expect("a model node");
+                let actual = trace[failure.time].node(net);
+                assert_eq!(failure.actual, actual, "{failure:?}");
+                assert!(
+                    consequent[failure.time].contains(&(net, failure.expected)),
+                    "{failure:?}"
+                );
+                assert!(!failure.expected.leq(actual), "{failure:?}");
+            }
+        }
+    }
+
+    /// Runs `assertion` through both [`Ste::check`] and [`Ste::check_all`],
+    /// compares each report with the concrete reference, and returns the
+    /// [`Ste::check`] report.
+    fn check_against_concrete(
+        model: &CompiledModel,
+        m: &mut BddManager,
+        assertion: &Assertion,
+    ) -> CheckReport {
+        let ste = Ste::new(model);
+        let single = ste.check(m, assertion).expect("checks");
+        assert_matches_concrete(model, m, assertion, &single);
+        let suite = ste
+            .check_all(m, std::slice::from_ref(assertion))
+            .expect("checks");
+        assert_eq!(suite.len(), 1);
+        assert_matches_concrete(model, m, assertion, &suite[0]);
+        assert_eq!(suite[0].ok, single.ok);
+        assert_eq!(suite[0].counterexample, single.counterexample);
+
+        // The verdict must not depend on the caller's policy: check again
+        // collecting and sifting at every safe point.
+        let saved = m.maintenance();
+        m.set_maintenance(Some(MaintainSettings {
+            gc_threshold: 1,
+            sift: true,
+            sift_threshold: 1,
+            ..MaintainSettings::default()
+        }));
+        let maintained = ste.check(m, assertion).expect("checks");
+        m.set_maintenance(saved);
+        assert!(m.stats().gc_passes > 0, "the policy collected");
+        assert_matches_concrete(model, m, assertion, &maintained);
+        single
+    }
+
     #[test]
     fn combinational_assertion_holds() {
         let n = and_gate();
         let model = CompiledModel::new(&n).expect("compiles");
-        let ste = Ste::new(&model);
         let mut m = BddManager::new();
         let va = m.new_var("va");
         let vb = m.new_var("vb");
         let a = Formula::is_bdd(&mut m, "a", va).and(Formula::is_bdd(&mut m, "b", vb));
         let expected = m.and(va, vb);
         let c = Formula::is_bdd(&mut m, "out", expected);
-        let report = ste
-            .check(&mut m, &Assertion::named("and_ok", a, c))
-            .expect("checks");
+        let report = check_against_concrete(&model, &mut m, &Assertion::named("and_ok", a, c));
         assert!(report.holds);
         assert!(report.counterexample.is_none());
         assert!(report.antecedent_conflict.is_false());
@@ -649,7 +534,6 @@ mod tests {
     fn wrong_spec_produces_counterexample() {
         let n = and_gate();
         let model = CompiledModel::new(&n).expect("compiles");
-        let ste = Ste::new(&model);
         let mut m = BddManager::new();
         let va = m.new_var("va");
         let vb = m.new_var("vb");
@@ -657,7 +541,7 @@ mod tests {
         // Wrong: claim the output is the OR of the inputs.
         let wrong = m.or(va, vb);
         let c = Formula::is_bdd(&mut m, "out", wrong);
-        let report = ste.check(&mut m, &Assertion::new(a, c)).expect("checks");
+        let report = check_against_concrete(&model, &mut m, &Assertion::new(a, c));
         assert!(!report.holds);
         let cex = report.counterexample.expect("has counterexample");
         assert!(!cex.failures.is_empty());
@@ -675,11 +559,10 @@ mod tests {
         // cannot hold: the trajectory carries X.
         let n = and_gate();
         let model = CompiledModel::new(&n).expect("compiles");
-        let ste = Ste::new(&model);
         let mut m = BddManager::new();
         let a = Formula::is1("a"); // b is left unconstrained
         let c = Formula::is1("out");
-        let report = ste.check(&mut m, &Assertion::new(a, c)).expect("checks");
+        let report = check_against_concrete(&model, &mut m, &Assertion::new(a, c));
         assert!(!report.holds);
         let cex = report.counterexample.expect("has counterexample");
         assert_eq!(cex.failures[0].actual, Ternary::X);
@@ -703,47 +586,68 @@ mod tests {
     #[test]
     fn sequential_assertion_with_clocking() {
         // Drive a value through the flop across a rising edge and check the
-        // output two steps later (the model's documented timing).
+        // output two steps later (the model's documented timing).  The
+        // streamed trajectory releases each predecessor state.
         let n = dff();
         let model = CompiledModel::new(&n).expect("compiles");
-        let ste = Ste::new(&model);
         let mut m = BddManager::new();
         let v = m.new_var("v");
-        let clock = Formula::is0("clock")
-            .and(Formula::is1("clock").delay(1))
-            .and(Formula::is0("clock").delay(2));
-        let data = Formula::is_bdd(&mut m, "d", v).from_to(0, 2);
-        let a = clock.and(data);
-        let c = Formula::is_bdd(&mut m, "q", v).delay(2);
-        let report = ste
-            .check(&mut m, &Assertion::named("dff_capture", a, c))
-            .expect("checks");
+        let capture = dff_claim(&mut m, v, 2);
+        let report = check_against_concrete(&model, &mut m, &capture);
         assert!(report.holds, "flop captures the symbolic value");
         assert_eq!(report.depth, 3);
 
         // Negative control: claiming the value appears one step too early
         // must fail.
-        let clock2 = Formula::is0("clock")
+        let early = dff_claim(&mut m, v, 1);
+        let report = check_against_concrete(&model, &mut m, &early);
+        assert!(!report.holds);
+    }
+
+    #[test]
+    fn registered_logic_survives_collection_between_steps() {
+        // q = reg(a xor b), out = q and c: a value the circuit computes,
+        // not one the antecedent drives, crosses the clock edge, and only
+        // the trajectory states hold it.
+        let mut b = NetlistBuilder::new("registered_xor");
+        let clk = b.input("clock");
+        let a = b.input("a");
+        let c = b.input("b");
+        let e = b.input("c");
+        let x = b.xor("x", a, c);
+        let q = b.reg("q", RegKind::Simple, x, clk, None, None);
+        let out = b.and("out", q, e);
+        b.mark_output(out);
+        let n = b.finish().expect("valid");
+        let model = CompiledModel::new(&n).expect("compiles");
+        let mut m = BddManager::new();
+        let va = m.new_var("va");
+        let vb = m.new_var("vb");
+        let vc = m.new_var("vc");
+        let clock = Formula::is0("clock")
             .and(Formula::is1("clock").delay(1))
             .and(Formula::is0("clock").delay(2));
-        let data2 = Formula::is_bdd(&mut m, "d", v).from_to(0, 2);
-        let early = Formula::is_bdd(&mut m, "q", v).delay(1);
-        let report2 = ste
-            .check(&mut m, &Assertion::new(clock2.and(data2), early))
-            .expect("checks");
-        assert!(!report2.holds);
+        let inputs = Formula::is_bdd(&mut m, "a", va)
+            .and(Formula::is_bdd(&mut m, "b", vb))
+            .from_to(0, 2);
+        let gate = Formula::is_bdd(&mut m, "c", vc).delay(2);
+        let x_ab = m.xor(va, vb);
+        let expected = m.and(x_ab, vc);
+        let claim = Formula::is_bdd(&mut m, "out", expected).delay(2);
+        let assertion = Assertion::named("registered_xor", clock.and(inputs).and(gate), claim);
+        let report = check_against_concrete(&model, &mut m, &assertion);
+        assert!(report.holds);
     }
 
     #[test]
     fn antecedent_conflict_is_reported() {
         let n = and_gate();
         let model = CompiledModel::new(&n).expect("compiles");
-        let ste = Ste::new(&model);
         let mut m = BddManager::new();
         // a is required to be both 0 and 1: contradictory antecedent.
         let a = Formula::is0("a").and(Formula::is1("a"));
         let c = Formula::is0("out");
-        let report = ste.check(&mut m, &Assertion::new(a, c)).expect("checks");
+        let report = check_against_concrete(&model, &mut m, &Assertion::new(a, c));
         assert!(report.antecedent_conflict.is_true());
     }
 
@@ -777,144 +681,66 @@ mod tests {
     }
 
     #[test]
-    fn conjunctive_mode_matches_monolithic_verdicts() {
-        // A failing combinational spec: both strategies must produce the
-        // same `ok` BDD, verdict, conflict and counterexample (the `true`
-        // conditions the conjunctive path drops are conjunction
-        // identities).
-        let n = and_gate();
-        let model = CompiledModel::new(&n).expect("compiles");
-        let ste = Ste::new(&model);
-        let mut m = BddManager::new();
-        let va = m.new_var("va");
-        let vb = m.new_var("vb");
-        let a = Formula::is_bdd(&mut m, "a", va).and(Formula::is_bdd(&mut m, "b", vb));
-        let wrong = m.or(va, vb);
-        let c = Formula::is_bdd(&mut m, "out", wrong);
-        let assertion = Assertion::new(a, c);
-        let mono = ste
-            .check_with(&mut m, &assertion, Partitioning::Monolithic)
-            .expect("checks");
-        let conj = ste
-            .check_with(&mut m, &assertion, Partitioning::Conjunctive)
-            .expect("checks");
-        assert!(!conj.holds);
-        assert_eq!(mono.holds, conj.holds);
-        assert_eq!(mono.ok, conj.ok);
-        assert_eq!(mono.antecedent_conflict, conj.antecedent_conflict);
-        assert_eq!(mono.constraints_checked, conj.constraints_checked);
-        assert_eq!(mono.counterexample, conj.counterexample);
-    }
-
-    #[test]
-    fn conjunctive_mode_streams_sequential_trajectories() {
-        // The dff capture property exercises the streaming path across
-        // steps: the predecessor state is released each step and the
-        // verdict must match the monolithic reference.
+    fn check_collects_only_under_the_callers_policy() {
         let n = dff();
         let model = CompiledModel::new(&n).expect("compiles");
         let ste = Ste::new(&model);
         let mut m = BddManager::new();
         let v = m.new_var("v");
-        let clock = Formula::is0("clock")
-            .and(Formula::is1("clock").delay(1))
-            .and(Formula::is0("clock").delay(2));
-        let data = Formula::is_bdd(&mut m, "d", v).from_to(0, 2);
-        let a = clock.and(data);
-        let c = Formula::is_bdd(&mut m, "q", v).delay(2);
-        let assertion = Assertion::named("dff_capture", a, c);
-        let report = ste
-            .check_with(&mut m, &assertion, Partitioning::Conjunctive)
-            .expect("checks");
-        assert!(report.holds);
-        assert_eq!(report.depth, 3);
-
-        // Early claim fails identically under both strategies.
-        let clock2 = Formula::is0("clock")
-            .and(Formula::is1("clock").delay(1))
-            .and(Formula::is0("clock").delay(2));
-        let data2 = Formula::is_bdd(&mut m, "d", v).from_to(0, 2);
-        let early = Formula::is_bdd(&mut m, "q", v).delay(1);
-        let bad = Assertion::new(clock2.and(data2), early);
-        let mono = ste
-            .check_with(&mut m, &bad, Partitioning::Monolithic)
-            .expect("checks");
-        let conj = ste
-            .check_with(&mut m, &bad, Partitioning::Conjunctive)
-            .expect("checks");
-        assert!(!conj.holds);
-        assert_eq!(mono.ok, conj.ok);
-        assert_eq!(mono.counterexample, conj.counterexample);
+        let capture = dff_claim(&mut m, v, 2);
+        assert!(ste.check(&mut m, &capture).expect("checks").holds);
+        assert_eq!(m.stats().gc_passes, 0, "no policy, no collection");
+        m.set_maintenance(Some(MaintainSettings {
+            gc_threshold: 1,
+            sift: false,
+            ..MaintainSettings::default()
+        }));
+        assert!(ste.check(&mut m, &capture).expect("checks").holds);
+        assert!(m.stats().gc_passes > 0, "the caller's policy collected");
     }
 
     #[test]
-    fn conjunctive_mode_restores_the_callers_maintenance_policy() {
+    fn check_all_restores_the_callers_maintenance_policy() {
         let n = and_gate();
         let model = CompiledModel::new(&n).expect("compiles");
         let ste = Ste::new(&model);
         let mut m = BddManager::new();
-        // No policy installed: the conjunctive path forces one for its own
-        // duration and must uninstall it afterwards.
-        let a = Formula::is0("a");
-        let c = Formula::is0("out");
-        let assertion = Assertion::new(a, c);
+        let suite = [Assertion::new(Formula::is0("a"), Formula::is0("out"))];
+        // No policy installed: the suite run installs a GC-only one per
+        // assertion and must uninstall it afterwards.
         assert!(m.maintenance().is_none());
-        let report = ste
-            .check_with(&mut m, &assertion, Partitioning::Conjunctive)
-            .expect("checks");
-        assert!(report.holds);
+        let reports = ste.check_all(&mut m, &suite).expect("checks");
+        assert!(reports[0].holds);
         assert!(m.maintenance().is_none(), "forced policy was uninstalled");
+
+        // A caller's own policy is used as is and left in place.
+        let sifting = Some(MaintainSettings::default());
+        m.set_maintenance(sifting);
+        let reports = ste.check_all(&mut m, &suite).expect("checks");
+        assert!(reports[0].holds);
+        assert_eq!(m.maintenance(), sifting);
     }
 
     #[test]
     fn word_level_datapath_check() {
-        // A 4-bit adder netlist: sum = a + b (mod 16).
-        let mut b = NetlistBuilder::new("adder");
-        let a_in = b.word_input("a", 4);
-        let b_in = b.word_input("b", 4);
-        let (sum, _carry) = b.word_add(&a_in, &b_in, None).expect("widths");
-        let named: Vec<_> = sum
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| b.buf(format!("sum[{i}]"), s))
-            .collect();
-        b.mark_word_output(&named);
-        let n = b.finish().expect("valid");
+        let n = adder4();
         let model = CompiledModel::new(&n).expect("compiles");
-        let ste = Ste::new(&model);
         let mut m = BddManager::new();
         let (va, vb) = BddVec::new_interleaved_pair(&mut m, "va", "vb", 4);
         let a_f = Formula::word_is(&mut m, "a", &va);
         let b_f = Formula::word_is(&mut m, "b", &vb);
         let expected = va.add(&mut m, &vb).expect("widths");
         let c = Formula::word_is(&mut m, "sum", &expected);
-        let report = ste
-            .check(&mut m, &Assertion::named("adder", a_f.and(b_f), c))
-            .expect("checks");
+        let report =
+            check_against_concrete(&model, &mut m, &Assertion::named("adder", a_f.and(b_f), c));
         assert!(report.holds);
         assert_eq!(report.constraints_checked, 8);
     }
 
     #[test]
-    fn auto_partitioning_switches_at_the_constraint_threshold() {
-        // The 4-bit adder consequent carries exactly
-        // AUTO_PARTITION_THRESHOLD point-wise constraints, so `auto` takes
-        // the conjunctive path there — observable through the kernel's
-        // partition telemetry once a failing check leaves partitions
-        // behind — while a 1-constraint assertion stays monolithic.
-        let mut b = NetlistBuilder::new("adder");
-        let a_in = b.word_input("a", 4);
-        let b_in = b.word_input("b", 4);
-        let (sum, _carry) = b.word_add(&a_in, &b_in, None).expect("widths");
-        let named: Vec<_> = sum
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| b.buf(format!("sum[{i}]"), s))
-            .collect();
-        b.mark_word_output(&named);
-        let n = b.finish().expect("valid");
+    fn wrong_word_level_spec_matches_the_concrete_reference() {
+        let n = adder4();
         let model = CompiledModel::new(&n).expect("compiles");
-        let ste = Ste::new(&model);
         let mut m = BddManager::new();
         let (va, vb) = BddVec::new_interleaved_pair(&mut m, "va", "vb", 4);
         let a_f = Formula::word_is(&mut m, "a", &va);
@@ -923,45 +749,7 @@ mod tests {
         let wrong = va.xor(&mut m, &vb).expect("widths");
         let c = Formula::word_is(&mut m, "sum", &wrong);
         let assertion = Assertion::named("adder_wrong", a_f.and(b_f), c);
-        let auto = ste
-            .check_with(&mut m, &assertion, Partitioning::Auto)
-            .expect("checks");
-        assert!(!auto.holds);
-        let consumed = m.stats().partitions_consumed;
-        assert!(consumed > 0, "auto took the conjunctive path");
-        let mono = ste
-            .check_with(&mut m, &assertion, Partitioning::Monolithic)
-            .expect("checks");
-        assert_eq!(mono.ok, auto.ok);
-        assert_eq!(mono.counterexample, auto.counterexample);
-        assert_eq!(
-            m.stats().partitions_consumed,
-            consumed,
-            "monolithic consumed no partitions"
-        );
-
-        // A single-constraint assertion under `auto` is monolithic too.
-        let gate = and_gate();
-        let gate_model = CompiledModel::new(&gate).expect("compiles");
-        let gate_ste = Ste::new(&gate_model);
-        let mut gm = BddManager::new();
-        let report = gate_ste
-            .check_with(
-                &mut gm,
-                &Assertion::new(Formula::is0("a"), Formula::is0("out")),
-                Partitioning::Auto,
-            )
-            .expect("checks");
-        assert!(report.holds);
-        assert_eq!(gm.stats().partitions_consumed, 0);
-    }
-
-    #[test]
-    fn partitioning_names_round_trip() {
-        for mode in Partitioning::ALL {
-            assert_eq!(Partitioning::parse(mode.name()), Some(mode));
-        }
-        assert_eq!(Partitioning::parse("bogus"), None);
-        assert_eq!(Partitioning::default(), Partitioning::Auto);
+        let report = check_against_concrete(&model, &mut m, &assertion);
+        assert!(!report.holds);
     }
 }

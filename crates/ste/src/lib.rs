@@ -73,8 +73,6 @@ pub mod indexing;
 pub mod infer;
 pub mod stimulus;
 
-pub use check::{
-    CheckReport, Counterexample, FailedNode, Partitioning, Ste, AUTO_PARTITION_THRESHOLD,
-};
+pub use check::{CheckReport, Counterexample, FailedNode, Ste};
 pub use error::SteError;
 pub use formula::{Assertion, Formula};

@@ -91,3 +91,26 @@ fn engine_oracle_minimisation_matches_the_paper() {
     assert_eq!(outcome.steps.len(), 5);
     assert!(outcome.steps.iter().skip(1).all(|s| !s.step.accepted));
 }
+
+/// Every policy × every suite on the small core, one job per suite, must
+/// reproduce the committed canonical report byte for byte: the verdicts,
+/// constraint counts and counterexample summaries of the whole flow.
+#[test]
+fn the_full_campaign_matches_its_canonical_fixture() {
+    let spec = CampaignSpec {
+        configs: vec![NamedConfig::small()],
+        policies: ssr::engine::named_policies(),
+        suites: Suite::ALL.to_vec(),
+        granularity: Granularity::Suite,
+        order: ssr_engine::OrderPolicy::Interleaved,
+        partitioning: ssr_engine::Partitioning::default(),
+        reorder: None,
+        budget: ssr_engine::JobBudget::default(),
+        threads: 2,
+        verbose: false,
+    };
+    let fixture =
+        CampaignReport::from_json(include_str!("fixtures/canonical-campaign-all-suite.json"))
+            .expect("the fixture parses");
+    assert_eq!(spec.run().canonical_json(), fixture.canonical_json());
+}
