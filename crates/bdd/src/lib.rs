@@ -45,7 +45,10 @@
 //!   ([`BddManager::protect`] / scoped [`BddManager::push_root_frame`]
 //!   sets) and run mark-and-sweep [`BddManager::gc`], which drops dead
 //!   unique-table entries in place, purges cache entries naming dead nodes
-//!   and recycles slots deterministically.  [`BddManager::reset`] still
+//!   and recycles slots deterministically.  Debug builds overwrite every
+//!   freed slot with a sentinel until it is reused, so an unrooted handle
+//!   used after a collection panics instead of reading stale contents.
+//!   [`BddManager::reset`] still
 //!   recycles the whole manager — capacity kept, contents cleared — for
 //!   arena reuse across batch jobs.
 //! * The hot tables (unique table, ITE computed table, quantification and
@@ -87,7 +90,6 @@ mod manager;
 mod node;
 pub mod order;
 pub mod reorder;
-pub mod store;
 pub mod vec;
 
 pub use error::{BddError, BudgetKind};
@@ -96,8 +98,4 @@ pub use manager::{Assignment, BddManager, BddStats, BudgetSettings};
 pub use node::Bdd;
 pub use order::OrderPolicy;
 pub use reorder::{MaintainSettings, SiftOutcome};
-pub use store::{
-    StoreBlob, StoreError, KERNEL_FORMAT_VERSION, KERNEL_FORMAT_VERSION_V1, STORE_MAGIC,
-    STORE_MAGIC_V1,
-};
 pub use vec::BddVec;

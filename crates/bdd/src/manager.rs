@@ -569,11 +569,10 @@ impl BddManager {
     /// only when no variable of that name exists yet.
     ///
     /// Model and property builders declare through this instead of
-    /// [`BddManager::new_var`] so that an arena warm-started from a
-    /// persisted function image (see [`crate::store`]) rediscovers the
-    /// preloaded variables — and through them the preloaded node sharing —
-    /// instead of shadowing them with duplicate fresh variables.  On a
-    /// cold (empty) arena the two are identical.
+    /// [`BddManager::new_var`], so a builder that names a variable already
+    /// present in the arena gets the existing literal rather than a
+    /// second variable shadowing the first under the same name.  On a
+    /// name not yet declared the two are identical.
     pub fn declare(&mut self, name: impl Into<String>) -> Bdd {
         let name = name.into();
         match self.var_by_name(&name) {
@@ -632,7 +631,7 @@ impl BddManager {
 
     /// The decision variable of `f`, or `None` for terminals.
     pub fn var_of(&self, f: Bdd) -> Option<u32> {
-        let n = self.nodes[f.index()];
+        let n = self.node(f);
         if n.var == Node::TERMINAL_VAR {
             None
         } else {
@@ -648,7 +647,7 @@ impl BddManager {
     /// Panics if `f` is a terminal.
     pub fn lo(&self, f: Bdd) -> Bdd {
         assert!(!f.is_terminal(), "terminal nodes have no cofactors");
-        Bdd(self.nodes[f.index()].lo.0 ^ (f.0 & 1))
+        Bdd(self.node(f).lo.0 ^ (f.0 & 1))
     }
 
     /// High (`var = 1`) cofactor edge of `f`, with `f`'s complement
@@ -658,12 +657,25 @@ impl BddManager {
     /// Panics if `f` is a terminal.
     pub fn hi(&self, f: Bdd) -> Bdd {
         assert!(!f.is_terminal(), "terminal nodes have no cofactors");
-        Bdd(self.nodes[f.index()].hi.0 ^ (f.0 & 1))
+        Bdd(self.node(f).hi.0 ^ (f.0 & 1))
+    }
+
+    /// The node behind `f`.  Debug builds check that its slot was not
+    /// reclaimed (see [`Node::POISONED`]): a handle kept across a GC or a
+    /// sift without being rooted is a caller bug, caught at its first use.
+    #[inline]
+    pub(crate) fn node(&self, f: Bdd) -> Node {
+        let n = self.nodes[f.index()];
+        debug_assert!(
+            n.var != Node::POISON_VAR,
+            "BDD handle {f:?} used after its node was reclaimed (not rooted across a gc or sift)"
+        );
+        n
     }
 
     #[inline]
     fn level(&self, f: Bdd) -> u32 {
-        let n = self.nodes[f.index()];
+        let n = self.node(f);
         if n.var == Node::TERMINAL_VAR {
             u32::MAX
         } else {
@@ -769,7 +781,7 @@ impl BddManager {
         let mut stack = vec![f.regular()];
         while let Some(n) = stack.pop() {
             if seen.insert(n) && !n.is_terminal() {
-                let node = self.nodes[n.index()];
+                let node = self.node(n);
                 stack.push(node.lo.regular());
                 stack.push(node.hi.regular());
             }
@@ -899,6 +911,10 @@ impl BddManager {
             }
             marked[index] = true;
             let node = self.nodes[index];
+            debug_assert!(
+                node.var != Node::POISON_VAR,
+                "BDD handle {f:?} rooted after its node was reclaimed"
+            );
             if !marked[node.lo.index()] {
                 stack.push(node.lo);
             }
@@ -917,6 +933,11 @@ impl BddManager {
                 .filter(|&index| !marked[index])
                 .map(|index| index as u32),
         );
+        if cfg!(debug_assertions) {
+            for &slot in &self.free {
+                self.nodes[slot as usize] = Node::POISONED;
+            }
+        }
         let live_before = self.live;
         self.live = self.nodes.len() - self.free.len();
         let reclaimed = live_before - self.live;
@@ -1223,7 +1244,7 @@ impl BddManager {
     /// denote the cofactors of the *function* `f`.
     #[inline]
     fn split(&self, f: Bdd) -> (u32, Bdd, Bdd) {
-        let n = self.nodes[f.index()];
+        let n = self.node(f);
         if n.var == Node::TERMINAL_VAR {
             (u32::MAX, f, f)
         } else {
@@ -1252,7 +1273,7 @@ impl BddManager {
         if f.is_terminal() {
             return (f, f);
         }
-        let n = self.nodes[f.index()];
+        let n = self.node(f);
         if n.var == var {
             let c = f.0 & 1;
             (Bdd(n.lo.0 ^ c), Bdd(n.hi.0 ^ c))
@@ -1361,7 +1382,7 @@ impl BddManager {
             if cur.is_false() {
                 return Some(false);
             }
-            let n = self.nodes[cur.index()];
+            let n = self.node(cur);
             let c = cur.0 & 1;
             match assignment.get(n.var) {
                 Some(true) => cur = Bdd(n.hi.0 ^ c),
@@ -1404,7 +1425,7 @@ impl BddManager {
         if let Some(&r) = cache.get(&f) {
             return r;
         }
-        let n = self.nodes[f.index()];
+        let n = self.node(f);
         let c = f.0 & 1;
         let target_level = self.var_to_level[var as usize];
         let node_level = self.var_to_level[n.var as usize];
@@ -1489,7 +1510,7 @@ impl BddManager {
             }
         }
         self.quant_misses += 1;
-        let n = self.nodes[f.index()];
+        let n = self.node(f);
         let c = f.0 & 1;
         let lo = self.quantify_rec(Bdd(n.lo.0 ^ c), vars, existential, tag);
         let hi = self.quantify_rec(Bdd(n.hi.0 ^ c), vars, existential, tag);
@@ -1521,7 +1542,7 @@ impl BddManager {
         if let Some(&r) = cache.get(&f) {
             return r;
         }
-        let n = self.nodes[f.index()];
+        let n = self.node(f);
         let c = f.0 & 1;
         let result = if n.var == var {
             self.ite(g, Bdd(n.hi.0 ^ c), Bdd(n.lo.0 ^ c))
@@ -1566,7 +1587,7 @@ impl BddManager {
         if let Some(&r) = cache.get(&f) {
             return r;
         }
-        let n = self.nodes[f.index()];
+        let n = self.node(f);
         let c = f.0 & 1;
         let lo = self.rename_rec(Bdd(n.lo.0 ^ c), mapping, cache);
         let hi = self.rename_rec(Bdd(n.hi.0 ^ c), mapping, cache);
@@ -1592,7 +1613,7 @@ impl BddManager {
             if n.is_terminal() || !seen.insert(n) {
                 continue;
             }
-            let node = self.nodes[n.index()];
+            let node = self.node(n);
             vars.insert(node.var);
             stack.push(node.lo.regular());
             stack.push(node.hi.regular());
@@ -1635,7 +1656,7 @@ impl BddManager {
         if let Some(&r) = cache.get(&f) {
             return r;
         }
-        let n = self.nodes[f.index()];
+        let n = self.node(f);
         let c = f.0 & 1;
         let lo = self.sat_fraction(Bdd(n.lo.0 ^ c), cache);
         let hi = self.sat_fraction(Bdd(n.hi.0 ^ c), cache);
@@ -1653,7 +1674,7 @@ impl BddManager {
         let mut asg = Assignment::new();
         let mut cur = f;
         while !cur.is_terminal() {
-            let n = self.nodes[cur.index()];
+            let n = self.node(cur);
             let c = cur.0 & 1;
             let hi = Bdd(n.hi.0 ^ c);
             if hi.is_false() {

@@ -108,6 +108,20 @@ pub(crate) struct Node {
 impl Node {
     pub(crate) const TERMINAL_VAR: u32 = u32::MAX;
 
+    /// The variable of [`Node::POISONED`]; no declared variable has it.
+    pub(crate) const POISON_VAR: u32 = u32::MAX - 1;
+
+    /// The sentinel debug builds write into every slot that GC or the
+    /// sift's reclaim path frees.  A dangling handle that reaches it trips
+    /// the check in `BddManager::node` (or indexes past the arena through
+    /// its edges) instead of silently reading the slot's stale contents.
+    /// A slot keeps the sentinel only until `mk_node` reuses it.
+    pub(crate) const POISONED: Node = Node {
+        var: Node::POISON_VAR,
+        lo: Bdd(u32::MAX - 1),
+        hi: Bdd(u32::MAX - 1),
+    };
+
     pub(crate) fn terminal() -> Node {
         Node {
             var: Node::TERMINAL_VAR,

@@ -452,6 +452,9 @@ impl BddManager {
         ctx.refs[index] -= 1;
         if ctx.refs[index] == 0 {
             let node = self.nodes[index];
+            if cfg!(debug_assertions) {
+                self.nodes[index] = Node::POISONED;
+            }
             self.unique.remove(&node);
             self.free.push(index as u32);
             ctx.dead[index] = true;
@@ -581,6 +584,42 @@ mod tests {
         m.release(kept);
         m.gc();
         assert_eq!(m.node_count(), 1, "releasing the root frees everything");
+    }
+
+    /// Debug builds poison every slot a GC frees: an unrooted handle used
+    /// afterwards panics instead of reading the slot's stale node.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "used after its node was reclaimed")]
+    fn an_unrooted_handle_used_after_gc_panics_in_debug_builds() {
+        let mut m = BddManager::new();
+        let a = m.new_var("a");
+        let b = m.new_var("b");
+        let kept = m.or(a, b);
+        let dangling = m.and(a, b);
+        m.protect(kept);
+        m.gc();
+        let _ = m.and(dangling, kept);
+    }
+
+    /// Every free slot holds the sentinel, whether GC or the sift's reclaim
+    /// path freed it.
+    #[test]
+    #[cfg(debug_assertions)]
+    fn freed_slots_hold_the_poison_sentinel_in_debug_builds() {
+        let mut m = BddManager::new();
+        let pool = random_pool(&mut m, 6, 80, 0xBEE);
+        for &f in &pool[pool.len() - 8..] {
+            m.protect(f);
+        }
+        m.gc();
+        let after_gc = m.stats().gc_reclaimed;
+        m.sift(1.5);
+        assert!(m.stats().gc_reclaimed > after_gc, "the sift freed slots");
+        assert!(!m.free.is_empty());
+        for &slot in &m.free {
+            assert_eq!(m.nodes[slot as usize], Node::POISONED, "slot {slot}");
+        }
     }
 
     /// Scoped root frames protect exactly while they are open.

@@ -244,67 +244,6 @@ fn bddvec_equality_unique_witness() {
     });
 }
 
-/// Like [`assert_matches_reference`], but resolves variables by *name*:
-/// needed for managers whose creation order (and hence variable indices)
-/// differ from the dumping manager's.
-fn assert_matches_reference_by_name(m: &BddManager, f: Bdd, e: &Expr) {
-    for bits in exhaustive_assignments() {
-        let asg: Assignment = bits
-            .iter()
-            .enumerate()
-            .map(|(i, &b)| {
-                let var = m.var_by_name(&format!("v{i}")).expect("declared variable");
-                (var, b)
-            })
-            .collect();
-        assert_eq!(m.eval(f, &asg), Some(eval_expr(e, &bits)));
-    }
-}
-
-/// Persistent-store round trip: `dump_functions` → `load_functions` hands
-/// back the *same* handles in the dumping manager (canonicity), identical
-/// bytes on a second dump (determinism), and reference-exact semantics in
-/// a fresh manager — even when the dump happens after GC and sifting, and
-/// the load happens under a randomly permuted variable order.
-#[test]
-fn store_round_trip_preserves_semantics() {
-    check("store round trip", 24, 0xB0D_000A, |rng| {
-        let exprs: Vec<Expr> = (0..rng.below(3) + 1).map(|_| arb_expr(rng, 4)).collect();
-        let mut m = manager_with_vars();
-        let roots: Vec<Bdd> = exprs.iter().map(|e| build_bdd(&mut m, e)).collect();
-        for &f in &roots {
-            m.protect(f);
-        }
-        // Dump after collection and (sometimes) reordering: the blob must
-        // describe the functions, not the arena's incidental state.
-        m.gc();
-        if rng.flag() {
-            m.sift(1.5);
-        }
-        let blob = m.dump_functions(&roots);
-        assert_eq!(blob.as_str(), m.dump_functions(&roots).as_str());
-        // Same manager: canonicity forces the identical handles back.
-        let reloaded = m.load_functions(&blob).expect("same-manager load");
-        assert_eq!(reloaded, roots);
-        // Fresh manager declaring the variables in a random permutation of
-        // the original order: loaded functions still evaluate reference-
-        // exactly (resolution is by name, reconstruction by ITE).
-        let mut order: Vec<u32> = (0..NUM_VARS).collect();
-        for i in (1..order.len()).rev() {
-            order.swap(i, rng.index(i + 1));
-        }
-        let mut fresh = BddManager::new();
-        for v in &order {
-            fresh.new_var(format!("v{v}"));
-        }
-        let reloaded = fresh.load_functions(&blob).expect("fresh-manager load");
-        assert_eq!(reloaded.len(), exprs.len());
-        for (f, e) in reloaded.iter().zip(&exprs) {
-            assert_matches_reference_by_name(&fresh, *f, e);
-        }
-    });
-}
-
 /// GC then random adjacent swaps then a sift pass: a rooted formula
 /// survives collection and keeps its reference semantics at every
 /// intermediate order.
@@ -408,36 +347,6 @@ fn gc_swaps_and_sifting_preserve_tagged_edges() {
         m.sift(1.5);
         assert_matches_reference(&m, f, &e);
         assert_matches_reference(&m, nf, &ne);
-    });
-}
-
-/// Store round trip over randomly complemented roots: polarity survives
-/// the v2 dump/load cycle handle-exactly in the same manager and
-/// reference-exactly in a fresh one.
-#[test]
-fn store_round_trip_preserves_random_polarity() {
-    check("store round trip, random polarity", 24, 0xB0D_000E, |rng| {
-        let mut exprs: Vec<Expr> = (0..rng.below(3) + 2).map(|_| arb_expr(rng, 4)).collect();
-        let mut m = manager_with_vars();
-        let mut roots: Vec<Bdd> = exprs.iter().map(|e| build_bdd(&mut m, e)).collect();
-        // Randomly complement each root (tracking the reference AST).
-        for (f, e) in roots.iter_mut().zip(exprs.iter_mut()) {
-            if rng.flag() {
-                *f = f.negate();
-                *e = Expr::Not(Box::new(e.clone()));
-            }
-        }
-        let blob = m.dump_functions(&roots);
-        let reloaded = m.load_functions(&blob).expect("same-manager load");
-        assert_eq!(reloaded, roots, "polarity round-trips handle-exactly");
-        let mut fresh = BddManager::new();
-        for v in 0..NUM_VARS {
-            fresh.new_var(format!("v{v}"));
-        }
-        let reloaded = fresh.load_functions(&blob).expect("fresh-manager load");
-        for (f, e) in reloaded.iter().zip(&exprs) {
-            assert_matches_reference_by_name(&fresh, *f, e);
-        }
     });
 }
 

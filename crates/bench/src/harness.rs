@@ -22,13 +22,10 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use std::sync::Arc;
-
 use ssr_bdd::{Bdd, BddManager, BddVec, MaintainSettings, OrderPolicy};
 use ssr_engine::json::Json;
 use ssr_engine::{
-    named_policies, CampaignSpec, Granularity, JobBudget, ModelStore, NamedConfig, Partitioning,
-    RunHooks, StoreBacked, Suite,
+    named_policies, CampaignSpec, Granularity, JobBudget, NamedConfig, Partitioning, Suite,
 };
 
 /// Schema identifier written into every bench report.
@@ -393,7 +390,7 @@ fn acceptance_spec(options: &BenchOptions) -> CampaignSpec {
 }
 
 /// The paper-sized core's IFR suite, the biggest-memory job in the
-/// workload registry, behind the cold/warm store pair.
+/// workload registry.
 fn ifr_paper_spec(options: &BenchOptions) -> CampaignSpec {
     CampaignSpec {
         configs: vec![NamedConfig::paper()],
@@ -631,14 +628,9 @@ pub fn workloads(options: &BenchOptions) -> Vec<Workload> {
         },
     });
 
-    // --- persistent-store ablation pair -----------------------------
-    // The same paper-sized IFR job cold (no store: netlist compiled and
-    // every BDD built from scratch) and warm (store-backed: the model and
-    // the per-job function images hydrate from disk).  The first warm
-    // call primes the store from empty — run with at least one warmup
-    // iteration so every *timed* iteration is a pure warm start; the
-    // store_hits/store_misses metrics record which one was measured.
-
+    // The paper's headline experiment.  The `-cold` suffix predates the
+    // retired warm-start store; it stays so `ssr bench --diff` history
+    // lines up with the committed `BENCH_*.json` reports.
     out.push(Workload {
         name: "campaign/ifr-paper-cold",
         kind: WorkloadKind::Campaign,
@@ -648,37 +640,6 @@ pub fn workloads(options: &BenchOptions) -> Vec<Workload> {
                 let report = spec.run();
                 assert!(report.all_hold(), "the paper IFR suite must pass");
                 campaign_metrics(&report)
-            })
-        },
-    });
-
-    out.push(Workload {
-        name: "campaign/ifr-paper-warm",
-        kind: WorkloadKind::Campaign,
-        run: {
-            let spec = ifr_paper_spec(options);
-            let dir =
-                std::env::temp_dir().join(format!("ssr-bench-warm-store-{}", std::process::id()));
-            let mut primed = false;
-            Box::new(move || {
-                if !primed {
-                    // Deterministic priming: the first call always starts
-                    // from an empty store (no leftovers from earlier runs).
-                    let _ = std::fs::remove_dir_all(&dir);
-                    primed = true;
-                }
-                let store = Arc::new(ModelStore::open(dir.clone()).expect("temp-dir store opens"));
-                let source = StoreBacked::new(Arc::clone(&store));
-                let hooks = RunHooks {
-                    source: Some(&source),
-                    ..RunHooks::default()
-                };
-                let report = spec.run_with_hooks(&[], None, None, hooks);
-                assert!(report.all_hold(), "the paper IFR suite must pass");
-                let mut metrics = campaign_metrics(&report);
-                metrics.push(("store_hits".into(), report.store_hits() as f64));
-                metrics.push(("store_misses".into(), report.store_misses() as f64));
-                metrics
             })
         },
     });

@@ -31,11 +31,6 @@ COMMANDS:
                a crash loses no completed work
     submit     Submit a campaign to a running daemon and stream its
                results (or --cancel/--status/--shutdown it)
-    store      Inspect the persistent warm-start store: `ssr store
-               <ls|verify|gc> --store-dir DIR`.  ls lists entries,
-               verify recomputes every checksum and reconstructs every
-               blob (exit 1 on damage), gc evicts least-recently-used
-               entries until the store fits --max-bytes
     diff       Compare two campaign artifacts (reports or checkpoint
                journals): verdict transitions per job, added/removed jobs,
                wall-time and ITE-hit-rate deltas.  Exits 1 iff a verdict
@@ -110,26 +105,6 @@ CAMPAIGN PERSISTENCE:
                                   partial report/journal (interruption
                                   simulation for tests and CI smoke)
 
-PERSISTENT STORE (campaign/check/bench/stats, `ssr store`):
-    --store-dir <DIR>             Content-addressed store of compiled models
-                                  and per-job BDD function images (format
-                                  ssr-store/v1, see README).  A repeat run
-                                  warm-starts: netlist compilation is
-                                  skipped and function images rehydrate
-                                  from disk; reports gain store_hits /
-                                  store_misses counters, and the canonical
-                                  report stays byte-identical warm or
-                                  cold.  Corrupt, truncated or
-                                  version-skewed entries degrade to a cold
-                                  build with a warning — never a changed
-                                  verdict.  With `ssr stats`, prints the
-                                  store census instead.
-    --no-store                    Ignore --store-dir for this run (the
-                                  store is neither read nor written)
-    --max-bytes <N>               `ssr store gc`: evict least-recently-used
-                                  entries until the store is at most N
-                                  bytes
-
 RESOURCE BUDGETS (campaign/check/submit):
     --node-budget <N>             Per-job ceiling on live BDD nodes.  A job
                                   that exhausts a budget is retried once
@@ -175,10 +150,6 @@ SERVE OPTIONS (ssr serve):
     --journal-dir <DIR>           Directory for per-request checkpoint
                                   journals (req-<id>.journal); enables
                                   crash-resume    [default: no persistence]
-    --store-dir <DIR>             Persistent model + BDD store: a daemon
-                                  restarted on the same directory
-                                  warm-starts every campaign it has served
-                                  before            [default: no store]
     --jobs <N>                    Worker threads per campaign (0 = one per
                                   CPU); overrides submitted specs
     --idle-timeout-ms <MS>        Reap connections idle this long that have
@@ -217,8 +188,6 @@ EXIT CODE:
             connection or protocol errors.
     bench: 0 on success (including --diff), 2 on unknown workloads or
            unreadable reports.
-    store: 0 on success, 1 if verify found a damaged entry, 2 on usage
-           or I/O errors.
     minimise: 0 if the baseline (all-architectural) policy verifies;
               rejected exploration candidates are expected to fail and do
               not affect the exit code.
@@ -244,21 +213,8 @@ pub enum Action {
     Submit,
     /// Campaign-report regression diffing.
     Diff,
-    /// Persistent-store maintenance (`ls`/`verify`/`gc`).
-    Store,
     /// Print usage.
     Help,
-}
-
-/// Which `ssr store` maintenance operation runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StoreVerb {
-    /// List every entry with its size.
-    Ls,
-    /// Recompute checksums and reconstruct every blob.
-    Verify,
-    /// Evict least-recently-used entries down to `--max-bytes`.
-    Gc,
 }
 
 /// Parsed command line.
@@ -342,14 +298,6 @@ pub struct Command {
     pub deadline_ms: Option<u64>,
     /// `serve --idle-timeout-ms`: reap idle connections (0 = never).
     pub idle_timeout_ms: u64,
-    /// `--store-dir`: the persistent model + BDD store directory.
-    pub store_dir: Option<String>,
-    /// `--no-store`: ignore `--store-dir` for this run.
-    pub no_store: bool,
-    /// `ssr store gc --max-bytes`: the store's size budget.
-    pub max_bytes: Option<u64>,
-    /// `ssr store <verb>`: which maintenance operation runs.
-    pub store_verb: Option<StoreVerb>,
 }
 
 fn parse_config(text: &str, control_path: ControlPath) -> Result<NamedConfig, String> {
@@ -423,7 +371,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
         Some("serve") => Action::Serve,
         Some("submit") => Action::Submit,
         Some("diff") => Action::Diff,
-        Some("store") => Action::Store,
         Some("help" | "--help" | "-h") | None => Action::Help,
         Some(other) => return Err(format!("unknown command `{other}`")),
     };
@@ -465,9 +412,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
     let mut step_budget = None;
     let mut deadline_ms = None;
     let mut idle_timeout_ms = 0u64;
-    let mut store_dir = None;
-    let mut no_store = false;
-    let mut max_bytes = None;
     let mut positional: Vec<String> = Vec::new();
 
     let mut it = argv.iter().skip(1);
@@ -638,16 +582,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                     .parse::<u64>()
                     .map_err(|_| format!("--idle-timeout-ms needs a number, got `{v}`"))?;
             }
-            "--store-dir" => store_dir = Some(value("--store-dir")?),
-            "--no-store" => no_store = true,
-            "--max-bytes" => {
-                let v = value("--max-bytes")?;
-                max_bytes = Some(
-                    v.parse::<u64>()
-                        .map_err(|_| format!("--max-bytes needs a byte count, got `{v}`"))?,
-                );
-            }
-            other if matches!(action, Action::Diff | Action::Store) && !other.starts_with('-') => {
+            other if action == Action::Diff && !other.starts_with('-') => {
                 positional.push(other.to_owned());
             }
             other => return Err(format!("unknown option `{other}`")),
@@ -659,34 +594,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             Ok([old, new]) => diff = Some((old, new)),
             Err(_) => return Err("diff needs exactly two paths: OLD.json NEW.json".into()),
         }
-        positional = Vec::new();
     }
-
-    let mut store_verb = None;
-    if action == Action::Store {
-        let verb = match <[String; 1]>::try_from(positional) {
-            Ok([verb]) => verb,
-            Err(_) => return Err("store needs exactly one operation: ls, verify or gc".into()),
-        };
-        positional = Vec::new();
-        store_verb = Some(match verb.as_str() {
-            "ls" => StoreVerb::Ls,
-            "verify" => StoreVerb::Verify,
-            "gc" => StoreVerb::Gc,
-            other => {
-                return Err(format!(
-                    "unknown store operation `{other}` (try ls, verify or gc)"
-                ))
-            }
-        });
-        if store_dir.is_none() {
-            return Err("store needs --store-dir <DIR>".into());
-        }
-        if store_verb == Some(StoreVerb::Gc) && max_bytes.is_none() {
-            return Err("store gc needs --max-bytes <N>".into());
-        }
-    }
-    let _ = positional;
 
     let configs = if config_names.is_empty() {
         vec![parse_config("small", control_path)?]
@@ -759,10 +667,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
         step_budget,
         deadline_ms,
         idle_timeout_ms,
-        store_dir,
-        no_store,
-        max_bytes,
-        store_verb,
     })
 }
 
@@ -1068,45 +972,39 @@ mod tests {
     }
 
     #[test]
-    fn store_flags_parse_on_campaigns() {
-        let cmd = parse(&argv(&["campaign", "--store-dir", "warm", "--no-store"])).expect("parses");
-        assert_eq!(cmd.store_dir.as_deref(), Some("warm"));
-        assert!(cmd.no_store);
-        let cmd = parse(&argv(&["campaign"])).expect("parses");
-        assert_eq!(cmd.store_dir, None);
-        assert!(!cmd.no_store);
-        let cmd = parse(&argv(&["serve", "--store-dir", "warm"])).expect("parses");
-        assert_eq!(cmd.store_dir.as_deref(), Some("warm"));
-        assert!(parse(&argv(&["campaign", "--store-dir"])).is_err());
+    fn store_flags_are_rejected_on_every_command() {
+        // The warm-start store is gone: its flags are unknown options on
+        // every command, `serve` included.
+        let commands: [&[&str]; 8] = [
+            &["campaign"],
+            &["check", "--suite", "ifr"],
+            &["minimise"],
+            &["stats"],
+            &["bench"],
+            &["serve"],
+            &["submit"],
+            &["diff", "a.json", "b.json"],
+        ];
+        let flags: [&[&str]; 3] = [
+            &["--store-dir", "warm"],
+            &["--no-store"],
+            &["--max-bytes", "4096"],
+        ];
+        for command in commands {
+            assert!(parse(&argv(command)).is_ok(), "{command:?}");
+            for flag in flags {
+                let flagged = [command, flag].concat();
+                assert!(parse(&argv(&flagged)).is_err(), "{flagged:?}");
+            }
+        }
     }
 
     #[test]
-    fn store_subcommand_needs_a_verb_and_a_directory() {
-        let cmd = parse(&argv(&["store", "ls", "--store-dir", "warm"])).expect("parses");
-        assert_eq!(cmd.action, Action::Store);
-        assert_eq!(cmd.store_verb, Some(StoreVerb::Ls));
-        assert_eq!(cmd.store_dir.as_deref(), Some("warm"));
-
-        let cmd = parse(&argv(&["store", "verify", "--store-dir", "warm"])).expect("parses");
-        assert_eq!(cmd.store_verb, Some(StoreVerb::Verify));
-
-        let cmd = parse(&argv(&[
-            "store",
-            "gc",
-            "--store-dir",
-            "warm",
-            "--max-bytes",
-            "4096",
-        ]))
-        .expect("parses");
-        assert_eq!(cmd.store_verb, Some(StoreVerb::Gc));
-        assert_eq!(cmd.max_bytes, Some(4096));
-
-        assert!(parse(&argv(&["store", "--store-dir", "warm"])).is_err());
-        assert!(parse(&argv(&["store", "frobnicate", "--store-dir", "warm"])).is_err());
-        assert!(parse(&argv(&["store", "ls"])).is_err());
-        assert!(parse(&argv(&["store", "gc", "--store-dir", "warm"])).is_err());
-        assert!(parse(&argv(&["store", "ls", "verify", "--store-dir", "warm"])).is_err());
+    fn store_is_no_command() {
+        for verb in ["ls", "verify", "gc"] {
+            assert!(parse(&argv(&["store", verb, "--store-dir", "warm"])).is_err());
+        }
+        assert!(parse(&argv(&["store"])).is_err());
     }
 
     #[test]

@@ -31,11 +31,6 @@
 //!   paper's retention-set exploration: [`minimise_with_engine`] drives
 //!   `ssr_retention::selection::minimise` with a parallel campaign per
 //!   query and keeps the per-step evidence;
-//! * [`store`] — the content-addressed persistent model + function store
-//!   behind `--store-dir` warm starts: compiled models and per-job BDD
-//!   function images hydrate from disk through the [`ModelSource`] trait
-//!   ([`Compile`] | [`StoreBacked`]), with transparent cold fallback on
-//!   miss, version mismatch or corruption;
 //! * [`json`] — the dependency-free JSON value/parser the reports use (the
 //!   workspace builds offline, so there is no `serde`).
 //!
@@ -74,11 +69,9 @@ pub mod persist;
 pub mod pool;
 pub mod report;
 pub mod spec;
-pub mod store;
 
 pub use campaign::{
-    run_job, run_job_sourced, run_job_with, CampaignSpec, CancelToken, HarnessError, RunHooks,
-    SharedHarness,
+    run_job, run_job_with, CampaignSpec, CancelToken, HarnessError, RunHooks, SharedHarness,
 };
 pub use diff::{JobKey, ReportDiff, Verdict, VerdictChange};
 pub use job::{
@@ -90,9 +83,6 @@ pub use persist::{load_partial, plan_resume, Checkpoint, PartialCampaign, Resume
 pub use pool::{ManagerPool, PoolStats};
 pub use report::{AssertionOutcome, CampaignReport, JobResult};
 pub use spec::{spec_from_json, spec_to_json};
-pub use store::{
-    BlobHealth, Compile, FunctionKey, GcOutcome, ModelSource, ModelStore, StoreBacked, StoreEntry,
-};
 
 // Re-exported so engine users can name suites, ordering policies and
 // resource budgets without depending on `ssr-properties`/`ssr-bdd`

@@ -467,8 +467,6 @@ mod tests {
             bdd_vars: 4,
             ite_hits: 7,
             ite_misses: 3,
-            store_hits: 0,
-            store_misses: 0,
             wall_ms: 5,
             error: None,
         }
@@ -601,6 +599,82 @@ mod tests {
         assert_eq!(plan.reused, vec![(0, monolithic), (1, conjunctive)]);
         assert_eq!(plan.stale, 0);
         assert!(plan.complete());
+    }
+
+    #[test]
+    fn artefacts_carrying_store_counters_parse_resume_and_canonicalise() {
+        // Warm runs of the former model store wrote per-job `store_hits` /
+        // `store_misses` counters into reports and journals.  Such files
+        // must load, resume and canonicalise exactly like the same files
+        // without the keys.
+        let jobs = enumerate_jobs(
+            &[NamedConfig::small()],
+            &[
+                policy_by_name("architectural").expect("named"),
+                policy_by_name("none").expect("named"),
+            ],
+            &[Suite::PropertyTwo],
+            Granularity::Suite,
+        );
+        let records = vec![
+            sample_result(0, "architectural", "suite"),
+            sample_result(1, "none", "suite"),
+        ];
+        let with_counter = |mut v: Json, key: &str| {
+            if let Json::Obj(map) = &mut v {
+                map.insert(key.to_owned(), Json::Num(1.0));
+            }
+            v
+        };
+        let counters = ["store_hits", "store_misses"];
+
+        let plain = CampaignReport {
+            threads: 2,
+            granularity: "suite".into(),
+            jobs: records.clone(),
+            total_wall_ms: 11,
+        };
+        let mut warm = plain.json_value();
+        if let Json::Obj(map) = &mut warm {
+            let Some(Json::Arr(recorded)) = map.get_mut("jobs") else {
+                panic!("report has a jobs array")
+            };
+            for (job, key) in recorded.iter_mut().zip(counters) {
+                *job = with_counter(job.clone(), key);
+            }
+        }
+        let warm_report = warm.render_pretty();
+        assert!(warm_report.contains("\"store_hits\": 1"));
+        assert!(warm_report.contains("\"store_misses\": 1"));
+
+        let header = Json::obj([
+            ("schema", Json::Str(JOURNAL_SCHEMA.into())),
+            ("granularity", Json::Str("suite".into())),
+            ("total_jobs", Json::Num(2.0)),
+            ("reorder", Json::Bool(false)),
+        ]);
+        let mut warm_journal = header.render();
+        for (record, key) in records.iter().zip(counters) {
+            warm_journal.push('\n');
+            warm_journal.push_str(&with_counter(record.to_json(), key).render());
+        }
+        warm_journal.push('\n');
+        assert!(warm_journal.contains("\"store_hits\":1"));
+
+        for text in [&warm_report, &warm_journal] {
+            let partial = load_partial(text).expect("warm artefact loads");
+            assert!(!partial.truncated_tail);
+            assert_eq!(partial.jobs, records);
+            let plan = plan_resume(&jobs, &partial.jobs);
+            assert_eq!(plan.stale, 0);
+            assert!(plan.complete(), "--resume reuses every warm record");
+            assert_eq!(
+                plan.reused,
+                records.iter().cloned().enumerate().collect::<Vec<_>>()
+            );
+        }
+        let parsed = CampaignReport::from_json(&warm_report).expect("parses");
+        assert_eq!(parsed.canonical_json(), plain.canonical_json());
     }
 
     #[test]

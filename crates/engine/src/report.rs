@@ -65,13 +65,6 @@ pub struct JobResult {
     pub ite_hits: u64,
     /// ITE computed-table misses recorded by the job's manager.
     pub ite_misses: u64,
-    /// Persistent-store function-image hits for this job (1 when the job's
-    /// BDD functions hydrated from `--store-dir`, else 0; always 0 without
-    /// a store).
-    pub store_hits: u64,
-    /// Persistent-store function-image misses for this job (1 when a store
-    /// was consulted but had no usable entry, else 0).
-    pub store_misses: u64,
     /// Total job wall time (model compile + all checks) in milliseconds.
     pub wall_ms: u64,
     /// Set when the job could not run at all (e.g. netlist generation
@@ -98,7 +91,7 @@ impl JobResult {
     /// The result as a JSON value — one line of a checkpoint journal, or
     /// the `result` field of a streamed `ssr-serve/v1` `job` response.
     pub fn to_json(&self) -> Json {
-        let mut fields = vec![
+        Json::obj([
             ("job_id", Json::Num(self.job_id as f64)),
             ("config", Json::Str(self.config_name.clone())),
             ("policy", Json::Str(self.policy_name.clone())),
@@ -144,17 +137,7 @@ impl JobResult {
                     None => Json::Null,
                 },
             ),
-        ];
-        // Store counters are only emitted when a persistent store was in
-        // play, so store-less reports stay byte-identical to pre-store
-        // artifacts (and parse leniently the other way).
-        if self.store_hits > 0 {
-            fields.push(("store_hits", Json::Num(self.store_hits as f64)));
-        }
-        if self.store_misses > 0 {
-            fields.push(("store_misses", Json::Num(self.store_misses as f64)));
-        }
-        Json::obj(fields)
+        ])
     }
 
     /// Parses a value produced by [`JobResult::to_json`].
@@ -251,10 +234,6 @@ impl JobResult {
             // parsed leniently so old v1 files still load.
             ite_hits: v.get("ite_hits").and_then(Json::as_u64).unwrap_or(0),
             ite_misses: v.get("ite_misses").and_then(Json::as_u64).unwrap_or(0),
-            // Persistent-store counters: omitted when zero (and absent in
-            // pre-store reports), so parse them leniently too.
-            store_hits: v.get("store_hits").and_then(Json::as_u64).unwrap_or(0),
-            store_misses: v.get("store_misses").and_then(Json::as_u64).unwrap_or(0),
             wall_ms: num_field("wall_ms")?,
             error: match v.get("error") {
                 Some(Json::Str(e)) => Some(e.clone()),
@@ -311,16 +290,6 @@ impl CampaignReport {
         self.jobs.iter().map(|j| j.ite_misses).sum()
     }
 
-    /// Aggregate persistent-store function-image hits across every job.
-    pub fn store_hits(&self) -> u64 {
-        self.jobs.iter().map(|j| j.store_hits).sum()
-    }
-
-    /// Aggregate persistent-store function-image misses across every job.
-    pub fn store_misses(&self) -> u64 {
-        self.jobs.iter().map(|j| j.store_misses).sum()
-    }
-
     /// Campaign-wide ITE computed-table hit rate in `[0, 1]` (`0.0` before
     /// any probe).  Kernel-cache health for the whole workload; per-job
     /// numbers live on [`JobResult`].
@@ -357,11 +326,6 @@ impl CampaignReport {
             job.reorder_passes = 0;
             job.ite_hits = 0;
             job.ite_misses = 0;
-            // Warm and cold runs of the same campaign differ only in where
-            // the bits came from — the store counters are provenance, not
-            // content, so canonical byte-identity must erase them.
-            job.store_hits = 0;
-            job.store_misses = 0;
             for assertion in &mut job.assertions {
                 assertion.wall_ms = 0;
             }
@@ -579,15 +543,6 @@ impl CampaignReport {
                 self.ite_misses(),
             ));
         }
-        let store_events = self.store_hits() + self.store_misses();
-        if store_events > 0 {
-            out.push_str(&format!(
-                "store: {} job(s) warm-started / {} cold ({} store event(s))\n",
-                self.store_hits(),
-                self.store_misses(),
-                store_events,
-            ));
-        }
         for j in self.jobs.iter().filter(|j| !j.holds || j.error.is_some()) {
             if let Some(e) = &j.error {
                 let label = if j.budget_limited() {
@@ -676,8 +631,6 @@ mod tests {
                     bdd_vars: 70,
                     ite_hits: 5400,
                     ite_misses: 600,
-                    store_hits: 0,
-                    store_misses: 0,
                     wall_ms: 52,
                     error: None,
                 },
@@ -699,8 +652,6 @@ mod tests {
                     bdd_vars: 0,
                     ite_hits: 0,
                     ite_misses: 0,
-                    store_hits: 0,
-                    store_misses: 0,
                     wall_ms: 0,
                     error: Some("netlist generation failed".into()),
                 },
@@ -746,32 +697,6 @@ mod tests {
         // Verdict content still distinguishes real changes.
         b.jobs[0].holds = true;
         assert_ne!(a.canonical_json(), b.canonical_json());
-    }
-
-    #[test]
-    fn store_counters_round_trip_and_stay_out_of_storeless_reports() {
-        // Store-less reports must not mention the counters at all, so
-        // artifacts from before the persistent store stay byte-identical.
-        let cold = sample_report();
-        assert!(!cold.to_json().contains("store_hits"));
-        // With a store in play the counters round-trip...
-        let mut warm = sample_report();
-        warm.jobs[0].store_hits = 1;
-        warm.jobs[1].store_misses = 1;
-        let text = warm.to_json();
-        assert!(text.contains("\"store_hits\": 1"));
-        let parsed = CampaignReport::from_json(&text).expect("parses");
-        assert_eq!(parsed, warm);
-        assert_eq!(parsed.store_hits(), 1);
-        assert_eq!(parsed.store_misses(), 1);
-        // ...the table surfaces them...
-        assert!(warm
-            .render_table()
-            .contains("1 job(s) warm-started / 1 cold"));
-        assert!(!cold.render_table().contains("warm-started"));
-        // ...and canonical byte-identity erases warm-vs-cold provenance:
-        // the CI gate diffs a warm rerun against its cold baseline.
-        assert_eq!(warm.canonical_json(), cold.canonical_json());
     }
 
     #[test]

@@ -41,14 +41,6 @@ pub enum NetlistError {
         /// Width of the right operand.
         right: usize,
     },
-    /// An `ssr-netlist-store/v1` blob failed to parse (truncation, bad
-    /// checksum, version mismatch, or malformed line).
-    StoreParse {
-        /// 1-based source line (0 when the whole blob is unusable).
-        line: usize,
-        /// Human-readable message.
-        message: String,
-    },
 }
 
 impl fmt::Display for NetlistError {
@@ -74,9 +66,6 @@ impl fmt::Display for NetlistError {
             }
             NetlistError::WidthMismatch { left, right } => {
                 write!(f, "word width mismatch: {left} vs {right}")
-            }
-            NetlistError::StoreParse { line, message } => {
-                write!(f, "netlist store parse error at line {line}: {message}")
             }
         }
     }

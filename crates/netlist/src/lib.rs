@@ -52,7 +52,6 @@ mod cell;
 mod error;
 mod netlist;
 pub mod stats;
-pub mod store;
 pub mod topo;
 
 pub use cell::{Cell, CellId, CellKind, GateOp, RegKind};

@@ -85,31 +85,6 @@ impl CoreHarness {
         })
     }
 
-    /// Builds a harness around an *already materialised* netlist — the
-    /// store-backed warm-start path, which skips core generation entirely.
-    ///
-    /// Unlike [`CoreHarness::with_order`], compilation failures are
-    /// propagated rather than treated as generator bugs: a netlist that
-    /// came off disk may be stale or doctored, and the caller (the engine's
-    /// model store) must be able to fall back to a cold build.
-    ///
-    /// # Errors
-    /// Returns a [`NetlistError`] if the netlist fails validation or
-    /// model compilation.
-    pub fn from_netlist(
-        config: CoreConfig,
-        order: OrderPolicy,
-        netlist: Arc<Netlist>,
-    ) -> Result<Self, NetlistError> {
-        let model = CompiledModel::from_arc(Arc::clone(&netlist))?;
-        Ok(CoreHarness {
-            config,
-            order,
-            netlist,
-            model,
-        })
-    }
-
     /// The configuration the core was generated from.
     pub fn config(&self) -> &CoreConfig {
         &self.config

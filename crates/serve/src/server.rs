@@ -42,10 +42,7 @@ use std::time::Duration;
 
 use ssr_engine::json::Json;
 use ssr_engine::persist::Checkpoint;
-use ssr_engine::{
-    load_partial, CampaignReport, CampaignSpec, CancelToken, JobResult, ModelStore, RunHooks,
-    StoreBacked,
-};
+use ssr_engine::{load_partial, CampaignReport, CampaignSpec, CancelToken, JobResult, RunHooks};
 
 use crate::protocol::{
     ack_response, cancelled_response, error_response, job_response, parse_request, report_response,
@@ -71,11 +68,10 @@ pub struct ServerConfig {
     /// Directory for per-request checkpoint journals (`None` disables
     /// persistence and `resume`).
     pub journal_dir: Option<PathBuf>,
-    /// Directory for the content-addressed persistent model + BDD store
-    /// (`None` disables warm starts).  A daemon restarted on the same
-    /// directory skips netlist compilation and rehydrates per-job function
-    /// images for every campaign it has served before; corrupt or
-    /// version-skewed entries silently fall back to cold builds.
+    /// Ignored.  It named the directory of the former warm-start model
+    /// store, which saved less than run-to-run noise and was removed;
+    /// every campaign compiles cold.  Kept so configurations that still
+    /// set it compile unchanged.
     pub store_dir: Option<PathBuf>,
     /// Per-connection socket write timeout in milliseconds (`0` = never).
     /// A client that stops reading mid-stream would otherwise block a
@@ -198,7 +194,6 @@ struct Shared {
     shutdown: AtomicBool,
     job_threads: usize,
     journal_dir: Option<PathBuf>,
-    store: Option<Arc<ModelStore>>,
     write_timeout_ms: u64,
     idle_timeout_ms: u64,
     verbose: bool,
@@ -247,23 +242,6 @@ impl Server {
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
 
-        // A store that cannot be opened degrades the daemon to cold builds
-        // rather than refusing to start — warm starts are an optimisation,
-        // never a prerequisite for service.
-        let store = config
-            .store_dir
-            .as_ref()
-            .and_then(|dir| match ModelStore::open(dir.clone()) {
-                Ok(store) => Some(Arc::new(store)),
-                Err(e) => {
-                    eprintln!(
-                        "warning: store: cannot open {}: {e}; serving cold",
-                        dir.display()
-                    );
-                    None
-                }
-            });
-
         let mut first_free_id = 1;
         if let Some(dir) = &config.journal_dir {
             std::fs::create_dir_all(dir)?;
@@ -279,7 +257,6 @@ impl Server {
             shutdown: AtomicBool::new(false),
             job_threads: config.job_threads,
             journal_dir: config.journal_dir.clone(),
-            store,
             write_timeout_ms: config.write_timeout_ms,
             idle_timeout_ms: config.idle_timeout_ms,
             verbose: config.verbose,
@@ -728,17 +705,9 @@ fn dispatch_loop(shared: &Arc<Shared>) {
         let on_job = |result: &JobResult| {
             entry.sink.send(&job_response(id, result));
         };
-        // With a store configured, every dispatched campaign materialises
-        // its models and function images through it — a daemon restart
-        // warm-starts repeat submissions.
-        let source = shared
-            .store
-            .as_ref()
-            .map(|store| StoreBacked::new(Arc::clone(store)));
         let hooks = RunHooks {
             cancel: Some(&entry.cancel),
             on_job: Some(&on_job),
-            source: source.as_ref().map(|s| s as &dyn ssr_engine::ModelSource),
         };
         let report =
             request

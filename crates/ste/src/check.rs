@@ -497,18 +497,28 @@ mod tests {
         assert_eq!(suite[0].counterexample, single.counterexample);
 
         // The verdict must not depend on the caller's policy: check again
-        // collecting and sifting at every safe point.
-        let saved = m.maintenance();
-        m.set_maintenance(Some(MaintainSettings {
-            gc_threshold: 1,
-            sift: true,
-            sift_threshold: 1,
-            ..MaintainSettings::default()
-        }));
-        let maintained = ste.check(m, assertion).expect("checks");
-        m.set_maintenance(saved);
-        assert!(m.stats().gc_passes > 0, "the policy collected");
-        assert_matches_concrete(model, m, assertion, &maintained);
+        // collecting as often as the kernel allows, first without and
+        // then with sifting.  With a zero threshold a sifting policy
+        // allows only `live / 8` garbage between passes (none below eight
+        // live nodes); a `usize::MAX` sift threshold keeps that allowance
+        // but never sifts.  The unsifted run comes first because a sift
+        // can move a variable on top and make a trajectory value a
+        // cofactor of a rooted constraint, which would keep a value the
+        // checker failed to root alive.
+        for sift_threshold in [usize::MAX, 1] {
+            let saved = m.maintenance();
+            let passes = m.stats().gc_passes;
+            m.set_maintenance(Some(MaintainSettings {
+                gc_threshold: 0,
+                sift: true,
+                sift_threshold,
+                ..MaintainSettings::default()
+            }));
+            let maintained = ste.check(m, assertion).expect("checks");
+            m.set_maintenance(saved);
+            assert!(m.stats().gc_passes > passes, "the policy collected");
+            assert_matches_concrete(model, m, assertion, &maintained);
+        }
         single
     }
 
@@ -608,7 +618,11 @@ mod tests {
     fn registered_logic_survives_collection_between_steps() {
         // q = reg(a xor b), out = q and c: a value the circuit computes,
         // not one the antecedent drives, crosses the clock edge, and only
-        // the trajectory states hold it.
+        // the trajectory states hold it.  Driving c with va keeps the
+        // claim, va and not vb, free of va xor vb under either order, so
+        // no rooted constraint shares the register's value: a checker
+        // that fails to root its newest state loses it at the step's
+        // collection, and debug builds panic when the next step reads it.
         let mut b = NetlistBuilder::new("registered_xor");
         let clk = b.input("clock");
         let a = b.input("a");
@@ -623,16 +637,15 @@ mod tests {
         let mut m = BddManager::new();
         let va = m.new_var("va");
         let vb = m.new_var("vb");
-        let vc = m.new_var("vc");
         let clock = Formula::is0("clock")
             .and(Formula::is1("clock").delay(1))
             .and(Formula::is0("clock").delay(2));
         let inputs = Formula::is_bdd(&mut m, "a", va)
             .and(Formula::is_bdd(&mut m, "b", vb))
             .from_to(0, 2);
-        let gate = Formula::is_bdd(&mut m, "c", vc).delay(2);
+        let gate = Formula::is_bdd(&mut m, "c", va).delay(2);
         let x_ab = m.xor(va, vb);
-        let expected = m.and(x_ab, vc);
+        let expected = m.and(x_ab, va);
         let claim = Formula::is_bdd(&mut m, "out", expected).delay(2);
         let assertion = Assertion::named("registered_xor", clock.and(inputs).and(gate), claim);
         let report = check_against_concrete(&model, &mut m, &assertion);

@@ -89,7 +89,7 @@ impl SymTernary {
         }
     }
 
-    /// Declares (or, on a warm-started arena, reuses) the symbolic Boolean
+    /// Declares (or, if already declared, reuses) the symbolic Boolean
     /// variable `name` and returns the node value that is `1` when the
     /// variable is true and `0` otherwise.
     pub fn symbol(m: &mut BddManager, name: impl Into<String>) -> SymTernary {
